@@ -1,7 +1,7 @@
 """Command-line front end: seeded, reproducible runs emitting CSV/JSON.
 
-Exit codes: 0 ok, 2 invalid input, 3 certificate violation, 4 flagged
-statistical result.  Every output artifact embeds the tool version, a
+Exit codes: 0 ok, 1 a verify check failed, 2 invalid input, 3 certificate
+violation, 4 flagged statistical result.  Every output artifact embeds the tool version, a
 hash of the configuration, and the master seed; identical (config, seed)
 produce byte-identical files regardless of RMTLDP_THREADS.
 """
@@ -39,6 +39,7 @@ from .wigner import assemble_wigner, low_rank_trace_check
 from .devlab import rate_slope_scan
 
 EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 EXIT_CERTIFICATE = 3
 EXIT_FLAGGED = 4
@@ -331,7 +332,7 @@ def cmd_verify(config: dict, seed: int, out, fmt: str) -> int:
         results.append({"check": name, "pass": bool(ok), "detail": detail, "seconds": round(dt, 4)})
         all_ok = all_ok and ok
     _emit_json(out, _meta(config, seed), {"checks": results, "all_pass": all_ok})
-    return EXIT_OK if all_ok else 1
+    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------

@@ -75,9 +75,6 @@ class Potential:
                 v = v + self.w_coef * ax ** 2
         return v
 
-    def is_even(self) -> bool:
-        return True  # every registry entry is an even function
-
     def to_json(self) -> dict:
         return {"b": self.b, "alpha": self.alpha, "beta": self.beta,
                 "w_kind": self.w_kind, "w_coef": self.w_coef}

@@ -72,8 +72,11 @@ class TwoPieceModulus:
         self.alpha = float(alpha)
         self.t0 = float(t0)
         self.s = float(core_scale)
-        self.tail_mass = math.exp(-self.c * self.t0 ** self.alpha)
+        self._t0_alpha = self.t0 ** self.alpha
+        self._core_z = _norm_cdf(self.t0 / self.s) - 0.5  # core normalizer
+        self.tail_mass = math.exp(-self.c * self._t0_alpha)
         self.core_mass = 1.0 - self.tail_mass
+        self._tilts = {}  # eta -> (Z(eta), tilted tail mass), filled on first use
 
     # ---- moments ------------------------------------------------------
 
@@ -107,13 +110,11 @@ class TwoPieceModulus:
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
         core = (t >= 0) & (t <= self.t0)
-        rho = self.t0 / self.s
-        z = _norm_cdf(rho) - 0.5
         out[core] = (
             self.core_mass
             * np.exp(-0.5 * (t[core] / self.s) ** 2)
             / (self.s * math.sqrt(2 * math.pi))
-            / z
+            / self._core_z
         )
         tail = t > self.t0
         tt = t[tail]
@@ -127,11 +128,8 @@ class TwoPieceModulus:
         tail = t >= self.t0
         out[tail] = np.exp(-self.c * t[tail] ** self.alpha)
         core = ~tail
-        rho = self.t0 / self.s
-        z = _norm_cdf(rho) - 0.5
         tc = np.clip(t[core], 0.0, None)
-        frac_below = (np.vectorize(_norm_cdf)(tc / self.s) - 0.5) / z if tc.size else tc
-        out[core] = 1.0 - self.core_mass * frac_below
+        out[core] = 1.0 - self.core_mass * (special.ndtr(tc / self.s) - 0.5) / self._core_z
         return out
 
     # ---- sampling -----------------------------------------------------
@@ -145,44 +143,49 @@ class TwoPieceModulus:
         k = int(is_tail.sum())
         if k:
             e = rng.standard_exponential(k)
-            out[is_tail] = (self.t0 ** self.alpha + e / self.c) ** (1.0 / self.alpha)
+            out[is_tail] = (self._t0_alpha + e / self.c) ** (1.0 / self.alpha)
         j = m - k
         if j:
-            rho = self.t0 / self.s
-            z = _norm_cdf(rho) - 0.5
             v = rng.random(j)
-            out[~is_tail] = np.minimum(self.s * special.ndtri(0.5 + v * z), self.t0)
+            out[~is_tail] = np.minimum(self.s * special.ndtri(0.5 + v * self._core_z), self.t0)
         if scalar:
             return float(out[0])
         return out.reshape(size)
 
     # ---- exponential-type tilt (importance-sampling support) ----------
 
+    def _tilt(self, eta: float) -> tuple[float, float]:
+        """(Z(eta), tilted tail mass), integrated once per eta and kept.
+
+        Callers warm the entry before starting worker threads; a racing
+        first fill would store the same floats."""
+        if eta not in self._tilts:
+            if eta >= self.c:
+                raise ValueError("tilt must be below the tail rate")
+            tail_part = self.c / (self.c - eta) * math.exp(-(self.c - eta) * self._t0_alpha)
+            core_part, _ = integrate.quad(
+                lambda t: math.exp(eta * t ** self.alpha) * float(self.pdf(t)), 0.0, self.t0, limit=200
+            )
+            Z = core_part + tail_part
+            self._tilts[eta] = (Z, tail_part / Z)
+        return self._tilts[eta]
+
     def tilt_normalizer(self, eta: float) -> float:
         """E[exp(eta * T**alpha)], finite for eta < c."""
-        if eta == 0.0:
-            return 1.0
-        if eta >= self.c:
-            raise ValueError("tilt must be below the tail rate")
-        tail_part = self.c / (self.c - eta) * math.exp(-(self.c - eta) * self.t0 ** self.alpha)
-        core_part, _ = integrate.quad(
-            lambda t: math.exp(eta * t ** self.alpha) * float(self.pdf(t)), 0.0, self.t0, limit=200
-        )
-        return core_part + tail_part
+        return 1.0 if eta == 0.0 else self._tilt(eta)[0]
 
     def sample_tilted(self, eta: float, rng: np.random.Generator, size: int):
         """Draw from the tilted law q(t) = pdf(t) exp(eta t**alpha) / Z."""
         if eta == 0.0:
             return self.sample(rng, size)
-        Z = self.tilt_normalizer(eta)
-        tail_mass_t = self.c / (self.c - eta) * math.exp(-(self.c - eta) * self.t0 ** self.alpha) / Z
+        tail_mass_t = self._tilt(eta)[1]
         u = rng.random(size)
         out = np.empty(size)
         is_tail = u < tail_mass_t
         k = int(is_tail.sum())
         if k:
             e = rng.standard_exponential(k)
-            out[is_tail] = (self.t0 ** self.alpha + e / (self.c - eta)) ** (1.0 / self.alpha)
+            out[is_tail] = (self._t0_alpha + e / (self.c - eta)) ** (1.0 / self.alpha)
         j = size - k
         if j:
             # rejection from the untilted core; acceptance exp(eta(t^a - t0^a)) <= 1
@@ -190,7 +193,7 @@ class TwoPieceModulus:
             while got.size < j:
                 cand = self.sample(rng, max(j, 64))
                 cand = cand[cand <= self.t0]
-                acc = rng.random(cand.size) < np.exp(eta * (cand ** self.alpha - self.t0 ** self.alpha))
+                acc = rng.random(cand.size) < np.exp(eta * (cand ** self.alpha - self._t0_alpha))
                 got = np.concatenate([got, cand[acc]])
             out[~is_tail] = got[:j]
         return out

@@ -1,6 +1,6 @@
 """Closed-form rate functions, speeds, and the Gaussian variational form.
 
-Three model families are covered, keyed by RateSpec.theorem:
+Four model families are covered, keyed by RateSpec.theorem:
 
 * ``beta_ensemble``      - J(x) = b (x - m)**(alpha/p) above the
   equilibrium moment m (even p), b|x - m|**(alpha/p) for odd p;

@@ -98,7 +98,7 @@ class TestVerifyCommand:
 
     def test_tampered_rate_formula_fails(self, tmp_path):
         code, out = run_cli(tmp_path, "verify", {"tamper": True}, fmt="json")
-        assert code != 0
+        assert code == 1
         doc = json.loads(out.read_text())
         failed = [c for c in doc["checks"] if not c["pass"]]
         assert any(c["check"] == "rate_formula_spot_values" for c in failed)

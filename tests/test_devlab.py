@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from rmtldp.devlab import (
     model_speed_exponent,
     rate_slope_scan,
 )
+from rmtldp import randsrc
 from rmtldp.randsrc import GaussianProfile, TailProfile
 
 
@@ -88,6 +90,22 @@ class TestPlantedIS:
         # proposal tilt is mild at delta=0.05; unbiasedness check has power
         assert abs(est.weight_mean - 1.0) <= 4.0 * est.weight_mean_se
         assert est.p_hat >= 0.0
+
+    def test_tilt_normalizer_integrated_once_per_law_and_eta(self, monkeypatch):
+        prof = TailProfile(alpha=1.0, a=1.0, b=1.0, t0=3.0, normalize_variance=True)
+        calls = []
+        quad = randsrc.integrate.quad
+
+        def counting_quad(*args, **kwargs):
+            calls.append(args[1:3])
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(randsrc.integrate, "quad", counting_quad)
+        cold = estimate_tail_planted_is(prof, 8, 4, 3.0, 300, seed=19)
+        assert len(calls) == 1  # one law, one eta > 0
+        warm = estimate_tail_planted_is(prof, 8, 4, 3.0, 300, seed=19)
+        assert len(calls) == 1
+        assert dataclasses.asdict(warm) == dataclasses.asdict(cold)
 
 
 class TestSlopeScan:

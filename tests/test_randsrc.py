@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from rmtldp.randsrc import (
     CalibrationError,
@@ -22,6 +22,16 @@ def se_of_proportion(p, n):
     return math.sqrt(p * (1 - p) / n)
 
 
+def tilt_oracle(law, eta):
+    """Closed-form Z(eta) = E[exp(eta T)] of an alpha = 1 law, and its tail piece."""
+    s, t0, c = law.s, law.t0, law.c
+    z = special.ndtr(t0 / s) - 0.5
+    core = (law.core_mass / z * math.exp(0.5 * (eta * s) ** 2)
+            * (special.ndtr(t0 / s - eta * s) - special.ndtr(-eta * s)))
+    tail = c / (c - eta) * math.exp(-(c - eta) * t0)
+    return core + tail, tail
+
+
 class TestTailLaw:
     def test_exact_tail_survival(self):
         # alpha=1, c=1, t0=2 (diagonal role carries rate b, never normalized)
@@ -29,6 +39,22 @@ class TestTailLaw:
         law = prof.modulus_law("diagonal")
         for t in (2.0, 2.5, 3.0, 4.0, 7.0):
             assert float(law.survival(np.array([t]))[0]) == pytest.approx(math.exp(-t), rel=1e-12)
+
+    @pytest.mark.parametrize("prof", [TailProfile(alpha=1.0, a=1.0, b=1.0, t0=3.0),
+                                      TailProfile.with_feasible_t0(alpha=0.5, a=1.0, b=1.0)])
+    def test_survival_complements_integrated_pdf(self, prof):
+        for role in ("diagonal", "offdiagonal"):
+            law = prof.modulus_law(role)
+            t0 = law.t0
+            grid = np.array([0.0, 0.1, 0.3, 0.6, 0.9, 1.0]) * t0
+            grid = np.concatenate([grid, t0 + np.array([0.5, 2.0, 6.0])])
+            f = lambda u: float(law.pdf(u))
+            for t, s in zip(grid, law.survival(grid)):
+                # the pdf jumps at t0, so the core and the tail are integrated apart
+                mass, _ = integrate.quad(f, 0.0, min(t, t0), epsabs=1e-14, epsrel=1e-13)
+                if t > t0:
+                    mass += integrate.quad(f, t0, t, epsabs=1e-14, epsrel=1e-13)[0]
+                assert s + mass == pytest.approx(1.0, abs=1e-10)
 
     def test_empirical_tail_frequency(self):
         prof = TailProfile(alpha=1.0, a=1.0, b=1.0, t0=2.0, normalize_variance=False)
@@ -96,6 +122,26 @@ class TestTailLaw:
             TailProfile(alpha=1, a=-1, b=1)
         with pytest.raises(ValueError):
             TailProfile(alpha=1, a=1, b=1, phase_diag="uniform_s1")
+
+
+class TestTilt:
+    @pytest.mark.parametrize("role", ["diagonal", "offdiagonal"])
+    @pytest.mark.parametrize("eta", [0.3, 0.69, 0.95])
+    def test_normalizer_matches_closed_form(self, role, eta):
+        law = TailProfile(alpha=1.0, a=1.0, b=1.0, t0=3.0).modulus_law(role)
+        Z, _ = tilt_oracle(law, eta)
+        assert law.tilt_normalizer(eta) == pytest.approx(Z, rel=1e-10)
+
+    def test_sample_tilted_follows_tilted_law(self):
+        law = TailProfile(alpha=1.0, a=1.0, b=1.0, t0=3.0).modulus_law("offdiagonal")
+        eta, m = 0.69, 200_000
+        Z, tail = tilt_oracle(law, eta)
+        t = law.sample_tilted(eta, stream(23, 0), m)
+        q = tail / Z
+        assert abs(float(np.mean(t > law.t0)) - q) <= 4.0 * se_of_proportion(q, m)
+        # E_q[exp(-eta T)] = 1/Z: the identity behind the IS weight
+        g = np.exp(-eta * t)
+        assert abs(float(g.mean()) - 1.0 / Z) <= 4.0 * float(g.std()) / math.sqrt(m)
 
 
 class TestGaussianProfile:
