@@ -3,7 +3,7 @@
 Exit codes: 0 ok, 1 a verify check failed, 2 invalid input, 3 certificate
 violation, 4 flagged statistical result.  Every output artifact embeds the tool version, a
 hash of the configuration, and the master seed; identical (config, seed)
-produce byte-identical files regardless of RMTLDP_THREADS.
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import sys
 import time
 
@@ -144,7 +143,7 @@ def cmd_varopt(config: dict, seed: int, out, fmt: str) -> int:
     return EXIT_OK
 
 
-def cmd_deviations(config: dict, seed: int, out, fmt: str, threads: int) -> int:
+def cmd_deviations(config: dict, seed: int, out, fmt: str) -> int:
     model = profile_from_json(config["model"])
     scan = rate_slope_scan(
         model,
@@ -154,7 +153,6 @@ def cmd_deviations(config: dict, seed: int, out, fmt: str, threads: int) -> int:
         trials_per_n=int(config.get("trials", 2000)),
         seed=seed,
         method=config.get("method", "auto"),
-        threads=threads,
         min_points=1,
     )
     meta = _meta(config, seed)
@@ -222,7 +220,7 @@ def cmd_calibrate(config: dict, seed: int, out, fmt: str) -> int:
     return EXIT_OK
 
 
-def _verify_checks(seed: int, tamper: bool):
+def _verify_checks(seed: int):
     """Deterministic self-checks; each returns (ok, detail)."""
 
     def check_low_rank_trace():
@@ -289,11 +287,10 @@ def _verify_checks(seed: int, tamper: bool):
         return ok, f"median gap {meds[0]:.4f} -> {meds[1]:.4f}"
 
     def check_rate_spots():
-        expected = 0.5 if not tamper else 0.75
         spec = RateSpec.for_gaussian(4, 1.0, 2)
         got = rate_value(spec, 3.0)
-        if abs(got - expected) > 1e-12:
-            return False, f"rate spot {got} != {expected}"
+        if abs(got - 0.5) > 1e-12:
+            return False, f"rate spot {got} != 0.5"
         if not math.isinf(rate_value(spec, 1.0)):
             return False, "finite below center"
         if speed_exponent(spec) != 1.5:
@@ -322,10 +319,9 @@ def _verify_checks(seed: int, tamper: bool):
 
 
 def cmd_verify(config: dict, seed: int, out, fmt: str) -> int:
-    tamper = bool(config.get("tamper", False))
     results = []
     all_ok = True
-    for name, fn in _verify_checks(seed, tamper):
+    for name, fn in _verify_checks(seed):
         t0 = time.perf_counter()
         ok, detail = fn()
         dt = time.perf_counter() - t0
@@ -360,14 +356,13 @@ def main(argv=None) -> int:
             sys.stderr.write(f"cannot read config: {exc}\n")
             return EXIT_INVALID
 
-    threads = max(1, int(os.environ.get("RMTLDP_THREADS", "1")))
     try:
         if args.command == "rate":
             return cmd_rate(config, args.seed, args.out, args.format)
         if args.command == "varopt":
             return cmd_varopt(config, args.seed, args.out, args.format)
         if args.command == "deviations":
-            return cmd_deviations(config, args.seed, args.out, args.format, threads)
+            return cmd_deviations(config, args.seed, args.out, args.format)
         if args.command == "sample":
             return cmd_sample(config, args.seed, args.out, args.format)
         if args.command == "calibrate":

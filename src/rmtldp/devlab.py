@@ -1,7 +1,8 @@
 """Rare-event probability estimation for normalized trace powers.
 
-Two estimators over a common trial layout (one Philox stream per trial
-index, so thread count never changes results):
+Two estimators over a common trial layout: trial k draws from its own
+Philox stream stream(seed, 1, k), and trials are assembled and evaluated
+in batches of 256, so the batching never changes results:
 
 * naive       - plain exceedance frequency with a Wilson interval;
 * planted_is  - self-normalized importance sampling whose proposal plants
@@ -19,16 +20,17 @@ claim at desk scale.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import special
 
-from .randsrc import GaussianProfile, TailProfile, draw_wigner_entries
+from .randsrc import GaussianProfile
 from .rates import RateSpec, rate_value, semicircle_moment
 from .rng import stream
 from .stats import DeviationEstimate, wilson_interval
+from .wigner import assemble_hermitian, assemble_wigner_batch as _dense_trial_matrix
 
 __all__ = [
     "estimate_tail_naive",
@@ -37,38 +39,9 @@ __all__ = [
     "ScanResult",
     "rate_slope_scan",
     "bounded_entry_concentration_probe",
-    "model_speed_exponent",
-    "model_center",
 ]
 
 _CHUNK = 256
-
-
-def model_center(model, p: int) -> float:
-    """Law-of-large-numbers center of tr_n X_n**p for a Wigner model."""
-    return semicircle_moment(p)
-
-
-def model_speed_exponent(model, p: int) -> float:
-    if isinstance(model, GaussianProfile):
-        return 1.0 + 2.0 / p
-    if isinstance(model, TailProfile):
-        return model.alpha * (0.5 + 1.0 / p)
-    raise TypeError(f"unknown model {type(model).__name__}")
-
-
-def _dense_trial_matrix(model, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Raw dense Hermitian draw (both triangles filled)."""
-    diag, off = draw_wigner_entries(model, n, rng)
-    beta = model.beta if isinstance(model, GaussianProfile) else model.matrix_beta
-    dtype = np.complex128 if beta == 2 else np.float64
-    mat = np.zeros((n, n), dtype=dtype)
-    iu = np.triu_indices(n, k=1)
-    mat[iu] = off
-    mat[np.diag_indices(n)] = diag
-    lower = np.tril_indices(n, k=-1)
-    mat[lower] = np.conj(mat.T[lower])
-    return mat
 
 
 def _normalized_trace_powers(mats: np.ndarray, p: int) -> np.ndarray:
@@ -87,14 +60,11 @@ def _normalized_trace_powers(mats: np.ndarray, p: int) -> np.ndarray:
     return np.sum(lam ** p, axis=-1) / n
 
 
-def _parallel_chunks(worker, n_trials: int, threads: int):
-    starts = list(range(0, n_trials, _CHUNK))
-    if threads <= 1:
-        for s in starts:
-            worker(s, min(_CHUNK, n_trials - s))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda s: worker(s, min(_CHUNK, n_trials - s)), starts))
+def _batches(n_trials: int, *path: int):
+    """(first trial index, one stream per trial) for each batch of up to
+    _CHUNK trials; trial k draws from stream(*path, k)."""
+    for start in range(0, n_trials, _CHUNK):
+        yield start, [stream(*path, k) for k in range(start, min(start + _CHUNK, n_trials))]
 
 
 def estimate_tail_naive(
@@ -104,26 +74,19 @@ def estimate_tail_naive(
     x: float,
     n_trials: int,
     seed: int = 0,
-    threads: int = 1,
 ) -> DeviationEstimate:
     """Frequency of {tr_n X_n**p >= x} over independent draws."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     values = np.empty(n_trials)
-
-    def worker(start, count):
-        mats = np.stack(
-            [_dense_trial_matrix(model, n, stream(seed, 1, start + k)) for k in range(count)]
-        )
-        values[start : start + count] = _normalized_trace_powers(mats / math.sqrt(n), p)
-
-    _parallel_chunks(worker, n_trials, threads)
+    for start, rngs in _batches(n_trials, seed, 1):
+        mats = _dense_trial_matrix(model, n, rngs)
+        values[start : start + len(rngs)] = _normalized_trace_powers(mats / math.sqrt(n), p)
     hits = int(np.count_nonzero(values >= x))
     p_hat = hits / n_trials
     lo, hi = wilson_interval(hits, n_trials)
     se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n_trials)
-    speed = model_speed_exponent(model, p)
-    slope = -math.log(p_hat) / n ** speed if 0.0 < p_hat else None
+    slope = -math.log(p_hat) / n ** model.speed(p) if 0.0 < p_hat else None
     return DeviationEstimate(
         n=n, x=float(x), p_hat=p_hat, stderr=se, n_trials=n_trials, method="naive",
         slope=slope, ci_low=lo, ci_high=hi, hits=hits, flagged=hits == 0,
@@ -145,7 +108,6 @@ def estimate_tail_planted_is(
     x: float,
     n_trials: int,
     seed: int = 0,
-    threads: int = 1,
     ess_floor: float = 50.0,
 ) -> DeviationEstimate:
     """Self-normalized importance sampling with a planted single-entry
@@ -153,7 +115,7 @@ def estimate_tail_planted_is(
     deviations fall back to the naive estimator)."""
     if p % 2:
         raise ValueError("planted importance sampling supports even p only")
-    center = model_center(model, p)
+    center = semicircle_moment(p)
     delta = x - center
     if delta < 0:
         raise ValueError(f"threshold must not be below the center {center}, got x={x}")
@@ -178,44 +140,40 @@ def estimate_tail_planted_is(
     logw = np.empty(n_trials)
     values = np.empty(n_trials)
 
-    def worker(start, count):
-        chunk = []
-        for k in range(count):
-            rng = stream(seed, 1, start + k)
-            mat = _dense_trial_matrix(model, n, rng)
-            if gaussian:
-                z = float(rng.standard_normal())
-                entry = shift + comp_sd * z
-                lw = -shift * shift / (2.0 * comp_sd * comp_sd) - shift * z / comp_sd
-                if mech == "diag":
-                    mat[0, 0] = entry
-                else:
-                    old = mat[0, 1]
-                    new = entry + 1j * old.imag if np.iscomplexobj(mat) else entry
-                    mat[0, 1] = new
-                    mat[1, 0] = np.conj(new)
+    def plant(mat, rng) -> float:
+        """Overwrite the planted entries of one raw matrix with draws from
+        the proposal; returns the log weight."""
+        if gaussian:
+            z = float(rng.standard_normal())
+            entry = shift + comp_sd * z
+            if mech == "diag":
+                mat[0, 0] = entry
             else:
-                if eta > 0:
-                    t = float(law.sample_tilted(eta, rng, 1)[0])
-                    lw = log_Z - eta * t ** model.alpha
-                else:
-                    t = float(law.sample(rng, 1)[0])
-                    lw = 0.0
-                if mech == "diag":
-                    sign = 1.0 if rng.random() < 0.5 else -1.0
-                    mat[0, 0] = sign * t
-                else:
-                    phase = 1.0 if model.matrix_beta == 1 else np.exp(2j * np.pi * rng.random())
-                    if model.matrix_beta == 1 and rng.random() < 0.5:
-                        phase = -1.0
-                    mat[0, 1] = phase * t
-                    mat[1, 0] = np.conj(phase * t)
-            logw[start + k] = lw
-            chunk.append(mat)
-        mats = np.stack(chunk)
-        values[start : start + count] = _normalized_trace_powers(mats / math.sqrt(n), p)
+                new = entry + 1j * mat[0, 1].imag if model.beta == 2 else entry
+                mat[0, 1] = new
+                mat[1, 0] = np.conj(new)
+            return -shift * shift / (2.0 * comp_sd * comp_sd) - shift * z / comp_sd
+        if eta > 0:
+            t = float(law.sample_tilted(eta, rng, 1)[0])
+            lw = log_Z - eta * t ** model.alpha
+        else:
+            t = float(law.sample(rng, 1)[0])
+            lw = 0.0
+        if mech == "diag":
+            mat[0, 0] = (1.0 if rng.random() < 0.5 else -1.0) * t
+        else:
+            phase = 1.0 if model.beta == 1 else np.exp(2j * np.pi * rng.random())
+            if model.beta == 1 and rng.random() < 0.5:
+                phase = -1.0
+            mat[0, 1] = phase * t
+            mat[1, 0] = np.conj(phase * t)
+        return lw
 
-    _parallel_chunks(worker, n_trials, threads)
+    for start, rngs in _batches(n_trials, seed, 1):
+        mats = _dense_trial_matrix(model, n, rngs)
+        for k, rng in enumerate(rngs):
+            logw[start + k] = plant(mats[k], rng)
+        values[start : start + len(rngs)] = _normalized_trace_powers(mats / math.sqrt(n), p)
 
     hit = values >= x
     L = float(np.max(logw))
@@ -230,8 +188,7 @@ def estimate_tail_planted_is(
         if gaussian:
             # exact proposal variance of the Gaussian mean-shift weight
             w_mean_se = float(np.sqrt(np.expm1(shift * shift / (comp_sd * comp_sd)) / n_trials))
-    speed = model_speed_exponent(model, p)
-    slope = -math.log(p_hat) / n ** speed if p_hat > 0 else None
+    slope = -math.log(p_hat) / n ** model.speed(p) if p_hat > 0 else None
     lo = max(0.0, p_hat - 3.0 * se)
     hi = min(1.0, p_hat + 3.0 * se)
     return DeviationEstimate(
@@ -282,7 +239,6 @@ def rate_slope_scan(
     trials_per_n: int,
     seed: int = 0,
     method: str = "auto",
-    threads: int = 1,
     rate_spec: RateSpec | None = None,
     min_points: int = 3,
 ) -> ScanResult:
@@ -297,17 +253,17 @@ def rate_slope_scan(
     n_grid = [int(v) for v in n_grid]
     if len(n_grid) < min_points or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError(f"n_grid must be ascending with at least {min_points} points")
-    speed = model_speed_exponent(model, p)
-    center = model_center(model, p)
+    speed = model.speed(p)
+    center = semicircle_moment(p)
     rows = []
     for idx, n in enumerate(n_grid):
         est = None
         if method in ("auto", "naive"):
-            est = estimate_tail_naive(model, n, p, x, trials_per_n, seed=seed + idx, threads=threads)
+            est = estimate_tail_naive(model, n, p, x, trials_per_n, seed=seed + idx)
             if method == "auto" and (est.hits or 0) < 10 and p % 2 == 0 and x > center:
                 est = None
         if est is None and method in ("auto", "planted_is") and p % 2 == 0 and x > center:
-            est = estimate_tail_planted_is(model, n, p, x, trials_per_n, seed=seed + idx, threads=threads)
+            est = estimate_tail_planted_is(model, n, p, x, trials_per_n, seed=seed + idx)
         if est is None or est.p_hat <= 0.0:
             rows.append(ScanRow(n, None, math.inf, math.inf, 0.0, est.method if est else "none", True))
             continue
@@ -339,6 +295,16 @@ def _truncated_normal(rng: np.random.Generator, kappa: float, size) -> np.ndarra
     return special.ndtri(lo + u * (1.0 - 2.0 * lo))
 
 
+@lru_cache(maxsize=32)
+def _upper_split(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the diagonal and of the strict upper triangle within
+    the row-major upper-triangle order of np.triu_indices(n)."""
+    rows, cols = np.triu_indices(n)
+    on_diag, off_diag = np.flatnonzero(rows == cols), np.flatnonzero(rows != cols)
+    on_diag.flags.writeable = off_diag.flags.writeable = False  # one cached pair serves every caller
+    return on_diag, off_diag
+
+
 def bounded_entry_concentration_probe(
     n: int,
     p: int,
@@ -359,6 +325,7 @@ def bounded_entry_concentration_probe(
     so they are weakly decreasing along the threshold grid.
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    on_diag, off_diag = _upper_split(n)
     rows = []
     for s_idx, s in enumerate(np.atleast_1d(np.asarray(spike_magnitudes, dtype=float))):
         c0 = s * n ** (0.5 + 1.0 / p)
@@ -366,15 +333,11 @@ def bounded_entry_concentration_probe(
         if m > m_cap:
             raise ValueError(f"spike hypothesis violated: m = {m:.4g} exceeds cap {m_cap}")
         vals = np.empty(n_trials)
-        for k in range(n_trials):
-            rng = stream(seed, 3, s_idx, k)
-            h = np.zeros((n, n))
-            iu = np.triu_indices(n)
-            h[iu] = _truncated_normal(rng, kappa, len(iu[0]))
-            h = h + np.triu(h, 1).T
-            h[0, 0] += c0
-            lam = np.linalg.eigvalsh(h / math.sqrt(n))
-            vals[k] = float(np.sum(lam ** p)) / n
+        for start, rngs in _batches(n_trials, seed, 3, s_idx):
+            draws = (_truncated_normal(rng, kappa, on_diag.size + off_diag.size) for rng in rngs)
+            h = assemble_hermitian(((v[on_diag], v[off_diag]) for v in draws), len(rngs), n, 1)
+            h[:, 0, 0] += c0
+            vals[start : start + len(rngs)] = _normalized_trace_powers(h / math.sqrt(n), p)
         dev = np.abs(vals - vals.mean())
         for t in t_grid:
             freq = float(np.mean(dev > t))

@@ -155,10 +155,7 @@ class TwoPieceModulus:
     # ---- exponential-type tilt (importance-sampling support) ----------
 
     def _tilt(self, eta: float) -> tuple[float, float]:
-        """(Z(eta), tilted tail mass), integrated once per eta and kept.
-
-        Callers warm the entry before starting worker threads; a racing
-        first fill would store the same floats."""
+        """(Z(eta), tilted tail mass), integrated once per eta and kept."""
         if eta not in self._tilts:
             if eta >= self.c:
                 raise ValueError("tilt must be below the tail rate")
@@ -277,6 +274,10 @@ class GaussianProfile:
         if self.beta not in (1, 2):
             raise ValueError(f"beta must be 1 or 2, got {self.beta}")
 
+    def speed(self, p: int) -> float:
+        """Exponent s of the deviation speed n**s of tr_n X_n**p."""
+        return 1.0 + 2.0 / p
+
     def to_json(self) -> dict:
         return {"kind": "gaussian", "sigma2": self.sigma2, "beta": self.beta}
 
@@ -326,8 +327,13 @@ class TailProfile:
         object.__setattr__(self, "_diag_law", TwoPieceModulus(self.b, self.alpha, self.t0, self.t0 / 2.0))
 
     @property
-    def matrix_beta(self) -> int:
+    def beta(self) -> int:
+        """Symmetry class of the matrix, set by the off-diagonal phase law."""
         return 2 if self.phase_offdiag == "uniform_s1" else 1
+
+    def speed(self, p: int) -> float:
+        """Exponent s of the deviation speed n**s of tr_n X_n**p."""
+        return self.alpha * (0.5 + 1.0 / p)
 
     def modulus_law(self, role: str) -> TwoPieceModulus:
         if role == "diagonal":

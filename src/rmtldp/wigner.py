@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .matcore import HermMatrix, eigvals, opnorm, trace_power
-from .randsrc import GaussianProfile, TailProfile, draw_wigner_entries
+from .randsrc import draw_wigner_entries
 
 __all__ = [
+    "assemble_hermitian",
+    "assemble_wigner_batch",
     "assemble_wigner",
     "TruncationSplit",
     "truncation_split",
@@ -22,30 +25,46 @@ __all__ = [
 ]
 
 
-def source_beta(source) -> int:
-    if isinstance(source, GaussianProfile):
-        return source.beta
-    if isinstance(source, TailProfile):
-        return source.matrix_beta
-    raise TypeError(f"unknown entry source {type(source).__name__}")
+@lru_cache(maxsize=32)
+def _strict_upper(n: int) -> np.ndarray:
+    """Row-major flat positions of the strict upper triangle of an n x n grid."""
+    rows, cols = np.triu_indices(n, k=1)
+    upper = rows * n + cols
+    upper.flags.writeable = False  # one cached array serves every caller
+    return upper
 
 
-def _dense_from_entries(n: int, diag, off, beta: int) -> np.ndarray:
-    dtype = np.complex128 if beta == 2 else np.float64
-    mat = np.zeros((n, n), dtype=dtype)
-    iu = np.triu_indices(n, k=1)
-    mat[iu] = off
-    mat[np.diag_indices(n)] = diag
-    return mat
+def assemble_hermitian(entries, count: int, n: int, beta: int) -> np.ndarray:
+    """Dense (count, n, n) stack with both triangles filled.
+
+    ``entries`` yields one (diagonal (n,), strict upper triangle
+    (n(n-1)/2,) in row-major order) pair per matrix.
+    """
+    mats = np.zeros((count, n, n), dtype=np.complex128 if beta == 2 else np.float64)
+    flat = mats.reshape(count, n * n)
+    diags = np.empty((count, n))
+    upper = _strict_upper(n)
+    for k, (diag, off) in enumerate(entries):
+        diags[k] = diag
+        flat[k, upper] = off
+    # the lower triangle is zero, so each upper slot adds an exact zero
+    mats += np.conj(mats.transpose(0, 2, 1))
+    flat[:, :: n + 1] = diags
+    return mats
+
+
+def assemble_wigner_batch(source, n: int, rngs) -> np.ndarray:
+    """Raw dense draws, one matrix per generator, as a (len(rngs), n, n)
+    array with both triangles filled."""
+    entries = (draw_wigner_entries(source, n, rng) for rng in rngs)
+    return assemble_hermitian(entries, len(rngs), n, source.beta)
 
 
 def assemble_wigner(n: int, source, rng: np.random.Generator) -> tuple[HermMatrix, HermMatrix]:
     """Draw one Wigner matrix; returns (raw, raw / sqrt(n))."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    beta = source_beta(source)
-    diag, off = draw_wigner_entries(source, n, rng)
-    raw = HermMatrix(beta, _dense_from_entries(n, diag, off, beta))
+    raw = HermMatrix(source.beta, assemble_wigner_batch(source, n, [rng])[0])
     return raw, raw.scaled(1.0 / math.sqrt(n))
 
 

@@ -96,8 +96,9 @@ class TestVerifyCommand:
         assert doc["all_pass"] is True
         assert all("seconds" in c for c in doc["checks"])
 
-    def test_tampered_rate_formula_fails(self, tmp_path):
-        code, out = run_cli(tmp_path, "verify", {"tamper": True}, fmt="json")
+    def test_tampered_rate_formula_fails(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "rate_value", lambda spec, x: 0.75)
+        code, out = run_cli(tmp_path, "verify", {}, fmt="json")
         assert code == 1
         doc = json.loads(out.read_text())
         failed = [c for c in doc["checks"] if not c["pass"]]
@@ -127,9 +128,10 @@ class TestDeviationsCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
-        _, out1 = run_cli(tmp_path, "deviations", self.CFG, seed=5, name="t1")
-        monkeypatch.setenv("RMTLDP_THREADS", "4")
-        _, out2 = run_cli(tmp_path, "deviations", self.CFG, seed=5, name="t4")
+        code1, out1 = run_cli(tmp_path, "deviations", self.CFG, seed=5, name="t1")
+        monkeypatch.setenv("RMTLDP_THREADS", "abc")  # no longer read, so never fatal
+        code2, out2 = run_cli(tmp_path, "deviations", self.CFG, seed=5, name="t4")
+        assert code1 == code2 and code2 in (0, 4)
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_flagged_rows_exit_4(self, tmp_path):

@@ -111,7 +111,7 @@ class TestTailLaw:
                            phase_offdiag="uniform_s1", normalize_variance=False)
         x = sample_wg_entry(prof, "offdiagonal", stream(11, 4), size=20000)
         assert np.iscomplexobj(x)
-        assert prof.matrix_beta == 2
+        assert prof.beta == 2
         # phase uniform on the circle: mean near 0 in both components
         assert abs(np.mean(x.real)) < 0.1 and abs(np.mean(x.imag)) < 0.1
 

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from rmtldp.matcore import HermMatrix, eigvals, normalized_trace_power, trace_power
-from rmtldp.randsrc import GaussianProfile, TailProfile
+from rmtldp.randsrc import GaussianProfile, TailProfile, draw_wigner_entries
 from rmtldp.rates import semicircle_cdf
 from rmtldp.rng import stream
 from rmtldp.wigner import (
     PlantSpec,
     assemble_wigner,
+    assemble_wigner_batch,
     count_nonzero,
     low_rank_trace_check,
     plant_deformation,
@@ -50,6 +51,25 @@ class TestAssemble:
         raw, _ = assemble_wigner(8, prof, stream(7, 0, 2))
         assert raw.beta == 2
         assert np.all(np.imag(np.diagonal(raw.matrix)) == 0)
+
+    @pytest.mark.parametrize("prof", [
+        GaussianProfile(sigma2=1.0, beta=1),
+        GaussianProfile(sigma2=0.5, beta=2),
+        TailProfile(alpha=1.0, a=1.0, b=1.0, t0=2.0, normalize_variance=False),
+        TailProfile(alpha=1.0, a=1.0, b=1.0, t0=2.0, phase_offdiag="uniform_s1", normalize_variance=False),
+    ], ids=["gauss_beta1", "gauss_beta2", "tail_rademacher", "tail_uniform_s1"])
+    @pytest.mark.parametrize("n", [1, 2, 17])
+    def test_batch_matches_per_trial_hermmatrix(self, prof, n):
+        batch = assemble_wigner_batch(prof, n, [stream(3, n, k) for k in range(5)])
+        assert batch.shape == (5, n, n)
+        for k in range(5):
+            diag, off = draw_wigner_entries(prof, n, stream(3, n, k))
+            upper = np.zeros((n, n), dtype=complex if prof.beta == 2 else float)
+            upper[np.triu_indices(n, k=1)] = off
+            upper[np.diag_indices(n)] = diag
+            ref = HermMatrix(prof.beta, upper).matrix
+            assert batch[k].dtype == ref.dtype
+            assert batch[k].tobytes() == ref.tobytes()
 
     def test_semicircle_kolmogorov(self):
         prof = GaussianProfile(sigma2=1.0, beta=1)
