@@ -4,8 +4,10 @@ The target is the density proportional to
 
     prod_{i<j} |l_i - l_j|**beta * exp(-N sum_i V(l_i)),
 
-sampled by single-coordinate Metropolis with an incrementally computed
-log-density delta (O(N) per coordinate, O(N^2) per sweep).
+sampled by single-coordinate Metropolis.  Each sweep forms every proposal
+and its potential change at once (coordinate i is untouched until its own
+update); per coordinate, one stacked (2, N) log-difference gives the
+interaction change (O(N) per coordinate, O(N^2) per sweep).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ __all__ = [
     "Potential",
     "GasState",
     "loggas_logdensity",
-    "metropolis_accept_probability",
+    "log_accept_probability",
     "mcmc_sweep",
     "run_chain",
     "moment",
@@ -98,9 +100,9 @@ def loggas_logdensity(lambdas, potential: Potential) -> float:
     return float(potential.beta * np.sum(np.log(diffs)) - n * np.sum(potential.value(lam)))
 
 
-def metropolis_accept_probability(delta: float) -> float:
-    """min(1, exp(delta)) without overflow."""
-    return 1.0 if delta >= 0 else math.exp(delta)
+def log_accept_probability(delta: float) -> float:
+    """log min(1, exp(delta)): the Metropolis rule mcmc_sweep applies to log u."""
+    return min(0.0, delta)
 
 
 @dataclass
@@ -146,6 +148,8 @@ class GasState:
             "lambdas": [float(v) for v in self.lambdas],
             "step": self.step,
             "sweep_count": self.sweep_count,
+            "accept_count": self.accept_count,
+            "proposal_count": self.proposal_count,
             "rng_state": rng_state,
         }
 
@@ -170,6 +174,8 @@ class GasState:
             step=float(obj["step"]),
             rng=np.random.Generator(bg),
             sweep_count=int(obj["sweep_count"]),
+            accept_count=int(obj.get("accept_count", 0)),
+            proposal_count=int(obj.get("proposal_count", 0)),
         )
         return state, potential
 
@@ -179,27 +185,34 @@ def mcmc_sweep(state: GasState, potential: Potential) -> GasState:
 
     The proposal draws and uniforms are consumed in a fixed order, so a
     sweep is reproducible from the state's stream position alone.
+    Coordinate i is untouched until its own update, so all proposals and
+    their potential changes are formed up front; per coordinate, one (2, N)
+    array of distances gives both log-interaction sums in one reduction.
     """
     lam = state.lambdas
     n = lam.size
     beta = potential.beta
     xi = state.rng.standard_normal(n)
-    logu = np.log(state.rng.random(n))
-    step = state.step
-    for i in range(n):
-        old = lam[i]
-        new = old + step * xi[i]
-        d_new = lam - new
-        d_old = lam - old
-        d_new[i] = 1.0
-        d_old[i] = 1.0
-        with np.errstate(divide="ignore"):
-            delta = beta * float(np.sum(np.log(np.abs(d_new))) - np.sum(np.log(np.abs(d_old))))
-        delta -= n * float(potential.value(new) - potential.value(old))
-        state.proposal_count += 1
-        if logu[i] <= min(0.0, delta):
-            lam[i] = new
-            state.accept_count += 1
+    logu = np.log(state.rng.random(n)).tolist()
+    ends = np.stack((lam + state.step * xi, lam))  # rows: proposal, current value
+    props = ends[0].tolist()
+    # V on numpy scalars (libm pow): the array power rounds some values
+    # differently in the last bit, which would change the deltas
+    dv = [n * float(potential.value(new) - potential.value(old)) for new, old in zip(*ends)]
+    dist = np.empty((2, n))
+    accepted = 0
+    with np.errstate(divide="ignore"):
+        for i in range(n):
+            np.subtract(lam, ends[:, i:i + 1], out=dist)
+            dist[0, i] = dist[1, i] = 1.0
+            np.abs(dist, out=dist)
+            np.log(dist, out=dist)
+            s_new, s_old = dist.sum(axis=1).tolist()
+            if logu[i] <= log_accept_probability(beta * (s_new - s_old) - dv[i]):
+                lam[i] = props[i]
+                accepted += 1
+    state.proposal_count += n
+    state.accept_count += accepted
     state.sweep_count += 1
     return state
 
@@ -249,6 +262,17 @@ def truncated_moment(lambdas, p: int) -> float:
     return float(np.sum(lam[idx] ** p) / n)
 
 
+def _chain_samples(potential: Potential, N: int, seed: int, burn_in: int, thin: int, n_samples: int, statistic) -> np.ndarray:
+    """statistic(lambdas) every `thin` sweeps of one chain, after a tuned burn-in."""
+    state = GasState.initial(potential, N, seed)
+    run_chain(state, potential, burn_in, tune=True)
+    samples = np.empty(n_samples)
+    for k in range(n_samples):
+        run_chain(state, potential, thin, tune=False)
+        samples[k] = statistic(state.lambdas)
+    return samples
+
+
 @dataclass
 class MomentEstimate:
     estimate: float
@@ -275,12 +299,7 @@ def estimate_equilibrium_moment(
         return MomentEstimate(1.0, 0.0, 0.0, False, 0)
     if thin is None:
         thin = N
-    state = GasState.initial(potential, N, seed)
-    run_chain(state, potential, burn_in, tune=True)
-    samples = np.empty(n_samples)
-    for k in range(n_samples):
-        run_chain(state, potential, thin, tune=False)
-        samples[k] = moment(state.lambdas, p)
+    samples = _chain_samples(potential, N, seed, burn_in, thin, n_samples, lambda lam: moment(lam, p))
     z = geweke_z(samples)
     return MomentEstimate(
         estimate=float(samples.mean()),
@@ -401,12 +420,7 @@ def lipschitz_concentration_probe(
     reported frequencies are weakly decreasing in t by construction.
     """
     f = LIPSCHITZ_REGISTRY[f_name]
-    state = GasState.initial(potential, N, seed)
-    run_chain(state, potential, burn_in, tune=True)
-    g = np.empty(int(n_trials))
-    for k in range(int(n_trials)):
-        run_chain(state, potential, thin, tune=False)
-        g[k] = float(np.mean(f(state.lambdas)))
+    g = _chain_samples(potential, N, seed, burn_in, thin, int(n_trials), lambda lam: np.mean(f(lam)))
     g_mean = g.mean()
     rows = []
     for t in np.atleast_1d(np.asarray(t_grid, dtype=float)):

@@ -153,6 +153,22 @@ class TestSampleCommand:
 
         init = GasState.initial(Potential(b=0.25, alpha=2.0, beta=1.0), 32, seed=3)
         assert np.allclose(ck["lambdas"], init.lambdas)
+        assert ck["accept_count"] == 0 and ck["proposal_count"] == 0
+
+    def test_checkpoint_resumes_like_one_chain(self, tmp_path):
+        from rmtldp.loggas import GasState, Potential, run_chain
+
+        pot = Potential(b=0.25, alpha=2.0, beta=1.0)
+        cfg = {"what": "loggas", "potential": pot.to_json(), "N": 8, "sweeps": 30}
+        code, out = run_cli(tmp_path, "sample", cfg, seed=3, fmt="json")
+        assert code == 0
+        resumed, pot2 = GasState.from_checkpoint(json.loads(out.read_text())["checkpoint"])
+        run_chain(resumed, pot2, 10)
+        whole = GasState.initial(pot, 8, seed=3)
+        run_chain(whole, pot, 40)
+        assert np.array_equal(resumed.lambdas, whole.lambdas)
+        assert (resumed.accept_count, resumed.proposal_count, resumed.sweep_count) == (
+            whole.accept_count, whole.proposal_count, whole.sweep_count)
 
     def test_wigner_eigenvalues_csv(self, tmp_path):
         cfg = {"what": "wigner", "model": {"kind": "gaussian", "sigma2": 1.0, "beta": 1}, "n": 16}

@@ -1,5 +1,7 @@
 import copy
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,9 +15,9 @@ from rmtldp.loggas import (
     estimate_equilibrium_moment,
     iid_truncated_tail,
     lipschitz_concentration_probe,
+    log_accept_probability,
     loggas_logdensity,
     mcmc_sweep,
-    metropolis_accept_probability,
     moment,
     run_chain,
     sample_single_particle,
@@ -25,6 +27,86 @@ from rmtldp.matcore import eigvals
 from rmtldp.randsrc import GaussianProfile
 from rmtldp.rng import stream
 from rmtldp.wigner import assemble_wigner
+
+
+# sha256 of lambdas.tobytes(), accept_count, proposal_count and step after
+# 200 sweeps of run_chain from GasState.initial(pot, N, seed=40 + N).  Any
+# change to the sweep's arithmetic or stream use that flips one acceptance
+# changes them.
+_GOLDEN_POTENTIALS = {
+    "int_alpha2": Potential(b=1.0, alpha=2, beta=1.0),
+    "alpha4_abs": Potential(b=0.5, alpha=4.0, beta=2.0, w_kind="abs", w_coef=0.3),
+    "alpha3.5_quadratic": Potential(b=1.0, alpha=3.5, beta=1.0, w_kind="quadratic", w_coef=0.5),
+    "beta0.7": Potential(b=0.25, alpha=2.0, beta=0.7),
+}
+_GOLDEN_CHAINS = {
+    ("int_alpha2", 2, False): ("55ceb1e1a662cc8574efc58fa4aca0a4bd78361ce7f87e8bdb9b1aed1ca97adc", 311, 400, 0.35355339059327373),
+    ("int_alpha2", 3, False): ("fe822d11c0e2bfe7f91f7af2d6fd48b5759673b8d874ac7be78fada89fa544e6", 438, 600, 0.2886751345948129),
+    ("int_alpha2", 33, False): ("ed0cc6e273ef798429291cdaf5af91c9f14ed8f2e1274576e29534bf7d8a22f4", 3433, 6600, 0.08703882797784893),
+    ("alpha4_abs", 2, False): ("d41706028c6dc2dc9152dca9cb54b66836f3d9155bbdb148d4c210af52ec1692", 303, 400, 0.35355339059327373),
+    ("alpha4_abs", 3, False): ("ff83fac371372d73c3f22875d5fd0833e75969cd7227434689da6b3d12bf2863", 423, 600, 0.2886751345948129),
+    ("alpha4_abs", 33, False): ("fb01c240866c8cd427f1e8576a301a3855c1f00fe5105090092732522c5526f0", 2739, 6600, 0.08703882797784893),
+    ("alpha3.5_quadratic", 2, False): ("96e3e4772ee24cae03b66b61d639b8273c1d2f09807aab64fafb7905894ffa72", 289, 400, 0.35355339059327373),
+    ("alpha3.5_quadratic", 3, False): ("25d317151161553a19e2df5b3aa49865621f4b1b3b6e36fed44ca6c531a76e94", 405, 600, 0.2886751345948129),
+    ("alpha3.5_quadratic", 33, False): ("c681428be0e95000ea7008fec30b41f2163539758fa4de8f5941bdf85ae7f0e8", 3189, 6600, 0.08703882797784893),
+    ("beta0.7", 2, False): ("3e6d8603d4f3de0284377faa3fdec12d60725e07fc8e5a44376eb4fa87db4072", 346, 400, 0.35355339059327373),
+    ("beta0.7", 3, False): ("bd6cb4f69eeb9c1230f7a4a0a175b21be4dbd2752b6d1d42d062268b44fca5a7", 513, 600, 0.2886751345948129),
+    ("beta0.7", 33, False): ("ad502d0d67dc93cab6780818dcc041ba627259f4dd141a86c021983375e33b69", 4570, 6600, 0.08703882797784893),
+    ("beta0.7", 33, True): ("f05b21eba7faa0ef11684fd2a571c3b7d53c91825b7dcaa691ce4f8a104f7640", 4463, 6600, 0.12533591228810245),
+}
+
+
+def _reference_delta(lam, i, new, potential):
+    """Log-density change of moving particle i of lam to new, by the plain
+    per-coordinate formula (scalar potential, one log-sum per side)."""
+    old = lam[i]
+    d_new = lam - new
+    d_old = lam - old
+    d_new[i] = d_old[i] = 1.0
+    with np.errstate(divide="ignore"):
+        delta = potential.beta * float(np.sum(np.log(np.abs(d_new))) - np.sum(np.log(np.abs(d_old))))
+    return delta - lam.size * float(potential.value(new) - potential.value(old))
+
+
+def _reference_sweep(state, potential):
+    """mcmc_sweep written as the plain per-coordinate loop: same draws, same
+    arithmetic, one proposal formed and judged at a time."""
+    lam = state.lambdas
+    xi = state.rng.standard_normal(lam.size)
+    logu = np.log(state.rng.random(lam.size))
+    for i in range(lam.size):
+        new = lam[i] + state.step * xi[i]
+        state.proposal_count += 1
+        if logu[i] <= min(0.0, _reference_delta(lam, i, new, potential)):
+            lam[i] = new
+            state.accept_count += 1
+    state.sweep_count += 1
+    return state
+
+
+class FixedDraws:
+    """Stands in for a chain's generator: fixed increments and uniforms."""
+
+    def __init__(self, xi, u):
+        self.xi = np.asarray(xi, dtype=float)
+        self.u = np.asarray(u, dtype=float)
+
+    def standard_normal(self, n):
+        return self.xi[:n].copy()
+
+    def random(self, n):
+        return self.u[:n].copy()
+
+
+def _uniform_with_log(target):
+    """A double u with np.log(u) == target exactly, or None."""
+    u = math.exp(target)
+    for _ in range(64):
+        lu = float(np.log(u))
+        if lu == target:
+            return u
+        u = float(np.nextafter(u, 1.0 if lu < target else 0.0))
+    return None
 
 
 class TestPotential:
@@ -86,8 +168,8 @@ class TestMetropolisKernel:
             for j in range(3):
                 if i == j:
                     continue
-                k_ij = 0.5 * metropolis_accept_probability(logpi[j] - logpi[i])
-                k_ji = 0.5 * metropolis_accept_probability(logpi[i] - logpi[j])
+                k_ij = 0.5 * math.exp(log_accept_probability(logpi[j] - logpi[i]))
+                k_ji = 0.5 * math.exp(log_accept_probability(logpi[i] - logpi[j]))
                 lhs = math.exp(logpi[i]) * k_ij
                 rhs = math.exp(logpi[j]) * k_ji
                 assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -107,9 +189,87 @@ class TestMetropolisKernel:
         blob = state.checkpoint(pot)
         restored, pot2 = GasState.from_checkpoint(copy.deepcopy(blob))
         assert pot2 == pot
+        assert (restored.accept_count, restored.proposal_count) == (state.accept_count, state.proposal_count)
         run_chain(state, pot, 3)
         run_chain(restored, pot2, 3)
         assert np.array_equal(state.lambdas, restored.lambdas)
+        assert (restored.accept_count, restored.proposal_count) == (state.accept_count, state.proposal_count)
+        assert restored.acceptance_rate == state.acceptance_rate
+
+    def test_checkpoint_without_counters_restores_zero(self):
+        pot = Potential(b=0.5, alpha=2.0, beta=1.0)
+        state = GasState.initial(pot, 6, seed=5)
+        run_chain(state, pot, 5)
+        blob = state.checkpoint(pot)
+        del blob["accept_count"], blob["proposal_count"]
+        restored, _ = GasState.from_checkpoint(blob)
+        assert (restored.accept_count, restored.proposal_count, restored.acceptance_rate) == (0, 0, 0.0)
+        assert restored.sweep_count == 5 and np.array_equal(restored.lambdas, state.lambdas)
+
+    @pytest.mark.parametrize("case", sorted(_GOLDEN_CHAINS), ids=lambda c: f"{c[0]}-N{c[1]}-tune{c[2]}")
+    def test_chain_matches_recorded_bytes(self, case):
+        name, N, tune = case
+        pot = _GOLDEN_POTENTIALS[name]
+        state = GasState.initial(pot, N, seed=40 + N)
+        run_chain(state, pot, 200, tune=tune)
+        digest = hashlib.sha256(state.lambdas.tobytes()).hexdigest()
+        assert (digest, state.accept_count, state.proposal_count, state.step) == _GOLDEN_CHAINS[case]
+
+    @pytest.mark.parametrize("name", sorted(_GOLDEN_POTENTIALS))
+    @pytest.mark.parametrize("N", [2, 5, 17, 64])
+    def test_sweep_equals_reference_loop(self, name, N):
+        pot = _GOLDEN_POTENTIALS[name]
+        rng = stream(305, N)
+        for rep in range(3):
+            lam = np.sort(rng.standard_normal(N)) * 2.0 ** (rep - 1)
+            step = 0.5 * 2.0 ** rep / math.sqrt(N)
+            fast = GasState(lambdas=lam.copy(), step=step, rng=stream(306, N, rep))
+            ref = GasState(lambdas=lam.copy(), step=step, rng=stream(306, N, rep))
+            for _ in range(10):
+                mcmc_sweep(fast, pot)
+                _reference_sweep(ref, pot)
+                assert fast.lambdas.tobytes() == ref.lambdas.tobytes()
+                assert (fast.accept_count, fast.proposal_count, fast.sweep_count) == (
+                    ref.accept_count, ref.proposal_count, ref.sweep_count)
+
+    @pytest.mark.parametrize("name", sorted(_GOLDEN_POTENTIALS))
+    def test_accepts_exactly_up_to_the_reference_delta(self, name):
+        # log u placed on the reference delta must accept and one ulp above
+        # it must reject, so the sweep's delta equals the reference's exactly
+        pot = _GOLDEN_POTENTIALS[name]
+        rng = stream(307, 0)
+        checked = 0
+        for _ in range(300):
+            lam = np.sort(rng.standard_normal(5))
+            xi = np.concatenate([rng.standard_normal(1), np.zeros(4)])
+            new = lam[0] + 0.5 * xi[0]
+            delta = _reference_delta(lam, 0, new, pot)
+            if not -40.0 < delta < -0.5:
+                continue
+            edges = (_uniform_with_log(delta), _uniform_with_log(float(np.nextafter(delta, 0.0))))
+            if None in edges:
+                continue
+            for u0, accept in zip(edges, (True, False)):
+                state = GasState(lambdas=lam.copy(), step=0.5, rng=FixedDraws(xi, [u0, 0.5, 0.5, 0.5, 0.5]))
+                mcmc_sweep(state, pot)
+                assert bool(state.lambdas[0] == new) == accept
+                assert state.accept_count == 4 + accept
+            checked += 1
+        assert checked >= 50
+
+    def test_exact_collision_is_rejected(self):
+        pot = Potential(b=1.0, alpha=2.0, beta=2.0)
+        for xi0, moved in ((2.0, False), (1.999, True)):
+            # coordinate 0 proposes 0 + 0.5 * xi0: exactly onto particle 1 for
+            # xi0 = 2; log u = -690.8, so every finite delta accepts
+            state = GasState(lambdas=np.array([0.0, 1.0, 2.0]), step=0.5,
+                             rng=FixedDraws([xi0, 0.0, 0.0], np.full(3, 1e-300)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                mcmc_sweep(state, pot)
+            assert state.lambdas[0] == (0.5 * xi0 if moved else 0.0)
+            assert state.lambdas.tolist()[1:] == [1.0, 2.0]
+            assert (state.accept_count, state.proposal_count, state.sweep_count) == (2 + moved, 3, 1)
 
 
 class TestMoments:
@@ -160,6 +320,18 @@ class TestEquilibriumMoment:
         oracle_se = float(np.std(draws, ddof=1) / math.sqrt(len(draws)))
         assert abs(res.estimate - oracle) <= 3.0 * math.hypot(res.stderr, oracle_se)
         assert not res.flagged
+
+    def test_recorded_estimate_and_probe_rows(self):
+        # tuned burn-in, thinning and statistic of the shared chain loop, pinned
+        est = estimate_equilibrium_moment(Potential(b=0.25, alpha=2.0, beta=1.0), 4, 12, 60,
+                                          seed=3, burn_in=300, thin=2)
+        assert est == MomentEstimate(2.467206804274297, 0.1404644117817143, -2.450352311785067, False, 60)
+        rows = lipschitz_concentration_probe(Potential(b=1.0, alpha=2.0, beta=1.0), "sin", 10, [0.0, 0.02], 80,
+                                             seed=6, burn_in=300, thin=2)
+        assert [(r.t, r.frequency, r.stderr, r.bound, r.violated) for r in rows] == [
+            (0.0, 0.5, 0.05590169943749474, 1.0, False),
+            (0.02, 0.325, 0.05236590016413353, 0.9900498337491681, False),
+        ]
 
     def test_returns_moment_estimate(self):
         pot = Potential(b=1.0, alpha=2.0, beta=1.0)
