@@ -12,6 +12,10 @@ in batches of 256, so the batching never changes results:
   size (n*delta)**(1/p) with delta = x - center.  Weights are exact
   one-dimensional density ratios.
 
+The estimators never look at the entry law itself.  They take any profile
+with ``beta``, ``speed(p)``, ``mechanism(p)``, ``rate_spec(p)``,
+``draw_entries(n, rng)`` and ``proposal(mech, shift)`` (see ``randsrc``).
+
 Estimates are asymptotic-regime probes: slopes -log p / n**speed are
 reported against the closed-form rate for comparison, with no convergence
 claim at desk scale.
@@ -21,16 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import special
 
-from .randsrc import GaussianProfile
-from .rates import RateSpec, rate_value, semicircle_moment
+from .rates import rate_value, semicircle_moment
 from .rng import stream
 from .stats import DeviationEstimate, wilson_interval
-from .wigner import assemble_hermitian, assemble_wigner_batch as _dense_trial_matrix
+from .wigner import assemble_hermitian, assemble_wigner_batch as _dense_trial_matrix, triangle_layout
 
 __all__ = [
     "estimate_tail_naive",
@@ -93,14 +95,6 @@ def estimate_tail_naive(
     )
 
 
-def _choose_mechanism(model, p: int) -> str:
-    """Pick the deviation channel with the smaller rate coefficient
-    (diagonal wins ties)."""
-    if isinstance(model, GaussianProfile):
-        return "diag" if 1.0 / model.sigma2 <= model.beta / 2.0 else "offdiag"
-    return "diag" if model.b <= 2.0 ** (-model.alpha / p) * model.a else "offdiag"
-
-
 def estimate_tail_planted_is(
     model,
     n: int,
@@ -119,56 +113,13 @@ def estimate_tail_planted_is(
     delta = x - center
     if delta < 0:
         raise ValueError(f"threshold must not be below the center {center}, got x={x}")
-    mech = _choose_mechanism(model, p)
+    mech = model.mechanism(p)
     theta = (n * delta) ** (1.0 / p) if mech == "diag" else (n * delta / 2.0) ** (1.0 / p)
     shift = math.sqrt(n) * theta  # raw-entry scale
-
-    gaussian = isinstance(model, GaussianProfile)
-    if gaussian:
-        if mech == "diag":
-            comp_sd = math.sqrt(model.sigma2)
-        else:
-            comp_sd = 1.0 if model.beta == 1 else math.sqrt(0.5)
-    else:
-        law = model.modulus_law("diagonal" if mech == "diag" else "offdiagonal")
-        c = law.c
-        eta = 0.0
-        if shift > 0:
-            eta = max(0.0, min(c - math.log(2.0) / shift ** model.alpha, 0.95 * c))
-        log_Z = math.log(law.tilt_normalizer(eta)) if eta > 0 else 0.0
+    plant, weight_var = model.proposal(mech, shift)
 
     logw = np.empty(n_trials)
     values = np.empty(n_trials)
-
-    def plant(mat, rng) -> float:
-        """Overwrite the planted entries of one raw matrix with draws from
-        the proposal; returns the log weight."""
-        if gaussian:
-            z = float(rng.standard_normal())
-            entry = shift + comp_sd * z
-            if mech == "diag":
-                mat[0, 0] = entry
-            else:
-                new = entry + 1j * mat[0, 1].imag if model.beta == 2 else entry
-                mat[0, 1] = new
-                mat[1, 0] = np.conj(new)
-            return -shift * shift / (2.0 * comp_sd * comp_sd) - shift * z / comp_sd
-        if eta > 0:
-            t = float(law.sample_tilted(eta, rng, 1)[0])
-            lw = log_Z - eta * t ** model.alpha
-        else:
-            t = float(law.sample(rng, 1)[0])
-            lw = 0.0
-        if mech == "diag":
-            mat[0, 0] = (1.0 if rng.random() < 0.5 else -1.0) * t
-        else:
-            phase = 1.0 if model.beta == 1 else np.exp(2j * np.pi * rng.random())
-            if model.beta == 1 and rng.random() < 0.5:
-                phase = -1.0
-            mat[0, 1] = phase * t
-            mat[1, 0] = np.conj(phase * t)
-        return lw
-
     for start, rngs in _batches(n_trials, seed, 1):
         mats = _dense_trial_matrix(model, n, rngs)
         for k, rng in enumerate(rngs):
@@ -184,10 +135,10 @@ def estimate_tail_planted_is(
     ess = sw * sw / float(np.sum(wn * wn))
     with np.errstate(over="ignore"):
         w_mean = float(np.exp(L) * wn.mean())
-        w_mean_se = float(np.exp(L) * wn.std(ddof=1) / math.sqrt(n_trials))
-        if gaussian:
-            # exact proposal variance of the Gaussian mean-shift weight
-            w_mean_se = float(np.sqrt(np.expm1(shift * shift / (comp_sd * comp_sd)) / n_trials))
+        if weight_var is None:  # no closed form: the empirical standard error
+            w_mean_se = float(np.exp(L) * wn.std(ddof=1) / math.sqrt(n_trials))
+        else:
+            w_mean_se = float(np.sqrt(weight_var / n_trials))
     slope = -math.log(p_hat) / n ** model.speed(p) if p_hat > 0 else None
     lo = max(0.0, p_hat - 3.0 * se)
     hi = min(1.0, p_hat + 3.0 * se)
@@ -239,7 +190,6 @@ def rate_slope_scan(
     trials_per_n: int,
     seed: int = 0,
     method: str = "auto",
-    rate_spec: RateSpec | None = None,
     min_points: int = 3,
 ) -> ScanResult:
     """Speed-normalized slope -log p_hat / n**speed across a dimension grid.
@@ -270,8 +220,7 @@ def rate_slope_scan(
         lo, hi = est.slope_interval(speed)
         rows.append(ScanRow(n, est.slope, lo, hi, est.p_hat, est.method, est.flagged, est.ess, est.stderr))
 
-    if rate_spec is None and isinstance(model, GaussianProfile):
-        rate_spec = RateSpec.for_gaussian(p, model.sigma2, model.beta)
+    rate_spec = model.rate_spec(p)
     ref = rate_value(rate_spec, x) if rate_spec is not None else None
     usable = [r.slope for r in rows if r.slope is not None]
     last = usable[-1] if usable else None
@@ -295,16 +244,6 @@ def _truncated_normal(rng: np.random.Generator, kappa: float, size) -> np.ndarra
     return special.ndtri(lo + u * (1.0 - 2.0 * lo))
 
 
-@lru_cache(maxsize=32)
-def _upper_split(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the diagonal and of the strict upper triangle within
-    the row-major upper-triangle order of np.triu_indices(n)."""
-    rows, cols = np.triu_indices(n)
-    on_diag, off_diag = np.flatnonzero(rows == cols), np.flatnonzero(rows != cols)
-    on_diag.flags.writeable = off_diag.flags.writeable = False  # one cached pair serves every caller
-    return on_diag, off_diag
-
-
 def bounded_entry_concentration_probe(
     n: int,
     p: int,
@@ -325,7 +264,7 @@ def bounded_entry_concentration_probe(
     so they are weakly decreasing along the threshold grid.
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    on_diag, off_diag = _upper_split(n)
+    on_diag = triangle_layout(n)[0]
     rows = []
     for s_idx, s in enumerate(np.atleast_1d(np.asarray(spike_magnitudes, dtype=float))):
         c0 = s * n ** (0.5 + 1.0 / p)
@@ -334,8 +273,8 @@ def bounded_entry_concentration_probe(
             raise ValueError(f"spike hypothesis violated: m = {m:.4g} exceeds cap {m_cap}")
         vals = np.empty(n_trials)
         for start, rngs in _batches(n_trials, seed, 3, s_idx):
-            draws = (_truncated_normal(rng, kappa, on_diag.size + off_diag.size) for rng in rngs)
-            h = assemble_hermitian(((v[on_diag], v[off_diag]) for v in draws), len(rngs), n, 1)
+            draws = (_truncated_normal(rng, kappa, n * (n + 1) // 2) for rng in rngs)
+            h = assemble_hermitian(((v[on_diag], np.delete(v, on_diag)) for v in draws), len(rngs), n, 1)
             h[:, 0, 0] += c0
             vals[start : start + len(rngs)] = _normalized_trace_powers(h / math.sqrt(n), p)
         dev = np.abs(vals - vals.mean())

@@ -1,6 +1,8 @@
 """Entry-level random sources for Wigner-type matrices.
 
-Two families:
+A profile owns every fact about its entry law that the estimators use:
+``beta``, ``speed(p)``, ``mechanism(p)``, ``rate_spec(p)``,
+``draw_entries(n, rng)`` and ``proposal(mech, shift)``.  Two families:
 
 * GaussianProfile - centered Gaussian entries, diagonal variance sigma2,
   off-diagonal second absolute moment 1 (real for beta=1, complex for
@@ -28,13 +30,13 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy import integrate, special
 
+from .rates import RateSpec
+
 __all__ = [
     "CalibrationError",
     "GaussianProfile",
     "TailProfile",
     "TwoPieceModulus",
-    "sample_gaussian_entry",
-    "sample_wg_entry",
     "tail_calibration_report",
     "draw_wigner_entries",
     "CalibrationRow",
@@ -278,6 +280,46 @@ class GaussianProfile:
         """Exponent s of the deviation speed n**s of tr_n X_n**p."""
         return 1.0 + 2.0 / p
 
+    def mechanism(self, p: int) -> str:
+        """Deviation channel with the smaller rate coefficient (diagonal
+        wins ties)."""
+        return "diag" if 1.0 / self.sigma2 <= self.beta / 2.0 else "offdiag"
+
+    def rate_spec(self, p: int) -> RateSpec:
+        return RateSpec.for_gaussian(p, self.sigma2, self.beta)
+
+    def draw_entries(self, n: int, rng: np.random.Generator):
+        """Diagonal (n,) and strict upper triangle (n(n-1)/2,) of one raw
+        matrix, from one block of standard normals."""
+        m = n * (n - 1) // 2
+        if self.beta == 1:
+            z = rng.standard_normal(n + m)
+            return z[:n] * math.sqrt(self.sigma2), z[n:]
+        z = rng.standard_normal(n + 2 * m)
+        return z[:n] * math.sqrt(self.sigma2), (z[n : n + m] + 1j * z[n + m :]) / math.sqrt(2.0)
+
+    def proposal(self, mech: str, shift: float):
+        """(plant, weight_var): plant(mat, rng) shifts the planted real part
+        to shift + sd*z and returns the log density ratio; weight_var is the
+        exact weight variance expm1(shift**2 / sd**2)."""
+        sd = math.sqrt(self.sigma2 if mech == "diag" else 1.0 / self.beta)
+        beta = self.beta
+
+        def plant(mat: np.ndarray, rng: np.random.Generator) -> float:
+            z = float(rng.standard_normal())
+            entry = shift + sd * z
+            if mech == "diag":
+                mat[0, 0] = entry
+            else:
+                new = entry + 1j * mat[0, 1].imag if beta == 2 else entry
+                mat[0, 1] = new
+                mat[1, 0] = np.conj(new)
+            return -shift * shift / (2.0 * sd * sd) - shift * z / sd
+
+        with np.errstate(over="ignore"):  # inf is the honest variance past the float range
+            weight_var = float(np.expm1(shift * shift / (sd * sd)))
+        return plant, weight_var
+
     def to_json(self) -> dict:
         return {"kind": "gaussian", "sigma2": self.sigma2, "beta": self.beta}
 
@@ -335,12 +377,66 @@ class TailProfile:
         """Exponent s of the deviation speed n**s of tr_n X_n**p."""
         return self.alpha * (0.5 + 1.0 / p)
 
+    def _pair_cost(self, p: int) -> float:
+        """Cost a 2**(-alpha/p) of the off-diagonal pair with tr A**p = 1."""
+        return 2.0 ** (-self.alpha / p) * self.a
+
+    def mechanism(self, p: int) -> str:
+        """Deviation channel with the smaller rate coefficient (diagonal
+        wins ties)."""
+        return "diag" if self.b <= self._pair_cost(p) else "offdiag"
+
+    def rate_spec(self, p: int) -> RateSpec | None:
+        """Closed-form rate for alpha <= 1 and even p >= 4, where the rate
+        constant is min(b, 2**(-alpha/p) a); None otherwise (only the
+        varopt bracket is known)."""
+        if self.alpha <= 1.0 and p % 2 == 0 and p >= 4:
+            return RateSpec.for_wg(p, min(self.b, self._pair_cost(p)), self.alpha)
+        return None
+
     def modulus_law(self, role: str) -> TwoPieceModulus:
         if role == "diagonal":
             return self._diag_law
         if role == "offdiagonal":
             return self._offdiag_law
         raise ValueError(f"role must be diagonal or offdiagonal, got {role!r}")
+
+    def sample_entries(self, role: str, rng: np.random.Generator, size: int) -> np.ndarray:
+        """size entries of one role; moduli and phases are drawn apart, so
+        P(X/|X| in U, |X| >= t) = nu(U) P(|X| >= t) holds at every t."""
+        mod = self.modulus_law(role).sample(rng, size)
+        phase_law = self.phase_diag if role == "diagonal" else self.phase_offdiag
+        return mod * _sample_phase(phase_law, rng, size)
+
+    def draw_entries(self, n: int, rng: np.random.Generator):
+        """Diagonal (n,) and strict upper triangle (n(n-1)/2,) of one raw
+        matrix, diagonal first."""
+        return self.sample_entries("diagonal", rng, n), self.sample_entries("offdiagonal", rng, n * (n - 1) // 2)
+
+    def proposal(self, mech: str, shift: float):
+        """(plant, None): plant(mat, rng) writes a modulus tilted by
+        exp(eta t**alpha) toward the shift, with a fresh phase, and returns
+        the log density ratio; no closed-form weight variance exists."""
+        law = self.modulus_law("diagonal" if mech == "diag" else "offdiagonal")
+        alpha, beta = self.alpha, self.beta
+        eta = 0.0
+        if shift > 0:
+            eta = max(0.0, min(law.c - math.log(2.0) / shift ** alpha, 0.95 * law.c))
+        log_Z = math.log(law.tilt_normalizer(eta))
+
+        def plant(mat: np.ndarray, rng: np.random.Generator) -> float:
+            t = float(law.sample_tilted(eta, rng, 1)[0])
+            if mech == "diag":
+                mat[0, 0] = (1.0 if rng.random() < 0.5 else -1.0) * t
+            else:
+                phase = 1.0 if beta == 1 else np.exp(2j * np.pi * rng.random())
+                if beta == 1 and rng.random() < 0.5:
+                    phase = -1.0
+                mat[0, 1] = phase * t
+                mat[1, 0] = np.conj(phase * t)
+            return log_Z - eta * t ** alpha
+
+        return plant, None
 
     def to_json(self) -> dict:
         d = asdict(self)
@@ -366,60 +462,9 @@ def _sample_phase(law: str, rng: np.random.Generator, size: int):
     return np.exp(1j * theta)
 
 
-def sample_wg_entry(profile: TailProfile, role: str, rng: np.random.Generator, size=None):
-    """One entry (or an array) of the stretched-exponential-tail law.
-
-    Modulus and phase are drawn independently, so the factorization
-    P(X/|X| in U, |X| >= t) = nu(U) P(|X| >= t) holds at every t.
-    """
-    law = profile.modulus_law(role)
-    scalar = size is None
-    m = 1 if scalar else int(np.prod(size))
-    mod = np.atleast_1d(law.sample(rng, m))
-    phase_law = profile.phase_diag if role == "diagonal" else profile.phase_offdiag
-    val = mod * _sample_phase(phase_law, rng, m)
-    if scalar:
-        return complex(val[0]) if np.iscomplexobj(val) else float(val[0])
-    return val.reshape(size)
-
-
-def sample_gaussian_entry(profile: GaussianProfile, role: str, rng: np.random.Generator, size=None):
-    """Gaussian entry draw (diagonal real, off-diagonal per symmetry class)."""
-    scalar = size is None
-    m = 1 if scalar else int(np.prod(size))
-    if role == "diagonal":
-        val = rng.standard_normal(m) * math.sqrt(profile.sigma2)
-    elif role == "offdiagonal":
-        if profile.beta == 1:
-            val = rng.standard_normal(m)
-        else:
-            val = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2.0)
-    else:
-        raise ValueError(f"role must be diagonal or offdiagonal, got {role!r}")
-    if scalar:
-        return complex(val[0]) if np.iscomplexobj(val) else float(val[0])
-    return val.reshape(size)
-
-
 def draw_wigner_entries(source, n: int, rng: np.random.Generator):
     """Diagonal (n,) and off-diagonal (n(n-1)/2,) entry draws for one matrix."""
-    m = n * (n - 1) // 2
-    if isinstance(source, GaussianProfile):
-        # one block draw; same laws as the per-entry samplers
-        if source.beta == 1:
-            z = rng.standard_normal(n + m)
-            diag = z[:n] * math.sqrt(source.sigma2)
-            off = z[n:]
-        else:
-            z = rng.standard_normal(n + 2 * m)
-            diag = z[:n] * math.sqrt(source.sigma2)
-            off = (z[n : n + m] + 1j * z[n + m :]) / math.sqrt(2.0)
-    elif isinstance(source, TailProfile):
-        diag = np.real(sample_wg_entry(source, "diagonal", rng, size=(n,)))
-        off = sample_wg_entry(source, "offdiagonal", rng, size=(m,)) if m else np.empty(0)
-    else:
-        raise TypeError(f"unknown entry source {type(source).__name__}")
-    return diag, off
+    return source.draw_entries(n, rng)
 
 
 @dataclass

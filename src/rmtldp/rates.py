@@ -8,9 +8,10 @@ Four model families are covered, keyed by RateSpec.theorem:
 * ``gaussian``           - J(x) = 0.5 min(1/sigma2, beta/2) (x - C)**(2/p)
   above the Catalan center C (even p), same power of |x| centered at 0
   for odd p; speed exponent 1 + 2/p.
-* ``wigner_no_gaussian_tail`` - J(x) = c (x - C)**(2/p) / c|x|**(2/p) with
-  the rate constant c from the sparse variational problem; speed
-  exponent alpha (1/2 + 1/p).
+* ``wigner_no_gaussian_tail`` - J(x) = c (x - C)**(alpha/p) / c|x|**(alpha/p)
+  with the rate constant c from the sparse variational problem (its cost
+  is alpha-homogeneous and tr A**p is p-homogeneous); speed exponent
+  alpha (1/2 + 1/p).
 * ``truncated_moment``   - J(x) = b x**(alpha/p) on x >= 0 (even p),
   b|x|**(alpha/p) for odd p; speed exponent 1 + alpha/p.
 
@@ -140,10 +141,7 @@ def rate_value(spec: RateSpec, x: float) -> float:
     """Rate function at x; math.inf on the forbidden branch."""
     p = spec.p
     coef = _coefficient(spec)
-    if spec.theorem in ("gaussian", "wigner_no_gaussian_tail"):
-        expo = 2.0 / p
-    else:
-        expo = spec.params["alpha"] / p
+    expo = 2.0 / p if spec.theorem == "gaussian" else spec.params["alpha"] / p
     if p % 2 == 0:
         u = x - spec.center
         if u < 0:

@@ -26,12 +26,17 @@ __all__ = [
 
 
 @lru_cache(maxsize=32)
-def _strict_upper(n: int) -> np.ndarray:
-    """Row-major flat positions of the strict upper triangle of an n x n grid."""
-    rows, cols = np.triu_indices(n, k=1)
-    upper = rows * n + cols
-    upper.flags.writeable = False  # one cached array serves every caller
-    return upper
+def triangle_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the diagonal within the row-major order of
+    np.triu_indices(n), and the flat n*n positions of the rest of that
+    order, the strict upper triangle (the order of np.triu_indices(n, k=1)).
+    np.delete(v, on_diag) is then the strict upper part of v."""
+    rows, cols = np.triu_indices(n)
+    on_diag = np.flatnonzero(rows == cols)
+    layout = on_diag, np.delete(rows * n + cols, on_diag)
+    for a in layout:
+        a.flags.writeable = False  # one cached pair serves every caller
+    return layout
 
 
 def assemble_hermitian(entries, count: int, n: int, beta: int) -> np.ndarray:
@@ -43,7 +48,7 @@ def assemble_hermitian(entries, count: int, n: int, beta: int) -> np.ndarray:
     mats = np.zeros((count, n, n), dtype=np.complex128 if beta == 2 else np.float64)
     flat = mats.reshape(count, n * n)
     diags = np.empty((count, n))
-    upper = _strict_upper(n)
+    upper = triangle_layout(n)[1]
     for k, (diag, off) in enumerate(entries):
         diags[k] = diag
         flat[k, upper] = off

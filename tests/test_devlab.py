@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from rmtldp.devlab import (
 from rmtldp import randsrc
 from rmtldp.matcore import normalized_trace_power
 from rmtldp.randsrc import GaussianProfile, TailProfile
+from rmtldp.rates import semicircle_moment
 from rmtldp.rng import stream
 from rmtldp.wigner import assemble_wigner
 
@@ -83,6 +85,12 @@ class TestPlantedIS:
         assert est.flagged and est.ess < 50
         assert est.p_hat > 0.0 and est.slope is not None and est.slope > 0
 
+    def test_weight_variance_past_float_range_is_inf(self):
+        # shift**2 / sd**2 is about 3.9e3 here, so expm1 overflows to inf
+        # quietly (RuntimeWarnings fail the suite)
+        est = estimate_tail_planted_is(GAUSS2, 64, 4, 60.0, 10, seed=12)
+        assert est.weight_mean_se == math.inf
+
     def test_odd_p_rejected(self):
         with pytest.raises(ValueError):
             estimate_tail_planted_is(GAUSS2, 8, 5, 1.0, 10, seed=12)
@@ -147,6 +155,72 @@ class TestSlopeScan:
         rate_slope_scan(GAUSS2, 4, 2.4, [8, 16], 100, seed=19, min_points=1)
 
 
+class StubProfile:
+    """Real Gaussian entries with diagonal variance 2, written against the
+    profile interface alone: the estimators must treat it exactly like
+    GaussianProfile(sigma2=2, beta=1), whose cheaper channel is also the
+    diagonal one."""
+
+    beta = 1
+    sd = math.sqrt(2.0)
+
+    def speed(self, p):
+        return 1.0 + 2.0 / p
+
+    def mechanism(self, p):
+        return "diag"
+
+    def rate_spec(self, p):
+        return None
+
+    def draw_entries(self, n, rng):
+        z = rng.standard_normal(n + n * (n - 1) // 2)
+        return z[:n] * self.sd, z[n:]
+
+    def proposal(self, mech, shift):
+        sd = self.sd
+
+        def plant(mat, rng):
+            z = float(rng.standard_normal())
+            mat[0, 0] = shift + sd * z
+            return -shift * shift / (2.0 * sd * sd) - shift * z / sd
+
+        return plant, None  # no closed form: empirical weight-mean error
+
+
+class TestProfileInterface:
+    GAUSS = GaussianProfile(sigma2=2.0, beta=1)
+
+    def test_stub_profile_runs_naive_and_planted_is(self):
+        stub = StubProfile()
+        assert estimate_tail_naive(stub, 8, 4, 2.6, 300, seed=30) == estimate_tail_naive(
+            self.GAUSS, 8, 4, 2.6, 300, seed=30)
+        got = dataclasses.asdict(estimate_tail_planted_is(stub, 8, 4, 2.6, 300, seed=31))
+        ref = dataclasses.asdict(estimate_tail_planted_is(self.GAUSS, 8, 4, 2.6, 300, seed=31))
+        assert got.pop("weight_mean_se") > 0.0  # empirical, where the Gaussian profile is exact
+        ref.pop("weight_mean_se")
+        assert got == ref and got["notes"]["mechanism"] == "diag"
+
+    def test_stub_profile_runs_scan(self):
+        stub = rate_slope_scan(StubProfile(), 4, 2.6, [6, 8], 300, seed=32, min_points=1)
+        ref = rate_slope_scan(self.GAUSS, 4, 2.6, [6, 8], 300, seed=32, min_points=1)
+        assert stub.rows == ref.rows
+        assert stub.rate_reference is None and ref.rate_reference > 0.0
+
+    @pytest.mark.parametrize("alpha, p, x", [(0.5, 4, 3.0), (1.0, 4, 3.0), (1.0, 6, 6.0)])
+    def test_tail_scan_reports_closed_form_reference(self, alpha, p, x):
+        prof = TailProfile(alpha=alpha, a=1.0, b=1.5, normalize_variance=False)
+        scan = rate_slope_scan(prof, p, x, [6], 50, seed=33, method="naive", min_points=1)
+        c = min(1.5, 2.0 ** (-alpha / p))
+        assert scan.rate_reference == pytest.approx(c * (x - semicircle_moment(p)) ** (alpha / p), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha, p", [(1.5, 4), (1.0, 5)])
+    def test_tail_scan_without_closed_form_reports_none(self, alpha, p):
+        prof = TailProfile(alpha=alpha, a=1.0, b=1.5, normalize_variance=False)
+        scan = rate_slope_scan(prof, p, 3.0, [6], 50, seed=34, method="naive", min_points=1)
+        assert scan.rate_reference is None
+
+
 class TestBoundedEntryProbe:
     def test_frequencies_decrease_in_threshold(self):
         rows = bounded_entry_concentration_probe(32, 4, [0.0], [0.0, 0.01, 0.05, 0.2], 200, seed=20)
@@ -174,3 +248,68 @@ class TestSpeedExponent:
         assert GAUSS2.speed(4) == 1.5
         prof = TailProfile(alpha=1.0, a=1.0, b=1.0, normalize_variance=False)
         assert prof.speed(4) == 0.75
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+def _golden_profile(key: str):
+    """gauss_<sigma2>_<beta> or tail_<phase>_b<b>_alpha<alpha> (a = 1.5)."""
+    kind, rest = key.split("_", 1)
+    if kind == "gauss":
+        sigma2, beta = rest.split("_")
+        return GaussianProfile(sigma2=float(sigma2), beta=int(beta))
+    phase, b, alpha = rest.rsplit("_", 2)
+    return TailProfile.with_feasible_t0(float(alpha[5:]), 1.5, float(b[1:]), phase_offdiag=phase)
+
+
+def _golden_digests(key: str) -> tuple[str, str, str]:
+    """Digests of naive estimates (x = 3 and 100), planted IS estimates (at
+    the center and at x = 3) and raw assemble_wigner matrices, all n = 8,
+    p = 4, 300 trials (one batch boundary crossed)."""
+    prof = _golden_profile(key)
+    naive = [dataclasses.asdict(estimate_tail_naive(prof, 8, 4, x, 300, seed=11)) for x in (3.0, 100.0)]
+    planted = [dataclasses.asdict(estimate_tail_planted_is(prof, 8, 4, x, 300, seed=12)) for x in (2.0, 3.0)]
+    mats = [assemble_wigner(n, prof, stream(13, n))[0].matrix.tobytes() for n in (2, 3, 17)]
+    return _digest(naive), _digest(planted), _digest(mats)
+
+
+class TestGoldenBytes:
+    """Estimates, scan rows, assembled matrices and probe rows recorded from
+    the code before the entry laws moved behind the profile interface; any
+    change to a stream layout or to the arithmetic shows up here."""
+
+    DIGESTS = {
+        "gauss_1_1": ("9d4c77adafff3612", "428f69117801d740", "7010fceb92832c68"),
+        "gauss_1_2": ("6b92adfb656d9d7c", "64c9020bfdea96e7", "c28dc2dc22041514"),
+        "gauss_0.25_1": ("79bebfba4b05a1ac", "adfbf57b0527b389", "606790c7e61cf0ac"),
+        "gauss_0.25_2": ("c24546640cad75d6", "32805eb8d0d70a32", "54674b3b293f7783"),
+        "tail_rademacher_b1_alpha0.5": ("e60543197276fb1d", "3a5537fe6df9fbcf", "a995d9c21db4593b"),
+        "tail_rademacher_b1_alpha1": ("ea76c74c73403fe3", "3c241b3c3d35af4b", "5aab1b12be6fae2c"),
+        "tail_rademacher_b1_alpha1.5": ("c1d08d69bcc01349", "3365787fabb8893e", "a18b08ccf55867c1"),
+        "tail_rademacher_b2_alpha0.5": ("f2623004aabb5a10", "6050e1c868a86e92", "a995d9c21db4593b"),
+        "tail_rademacher_b2_alpha1": ("db2a36dd7a4a6205", "37d0882865a4bd75", "b1e4ef5ac7ee547a"),
+        "tail_rademacher_b2_alpha1.5": ("a81be593e6cd301b", "5b99a504e8a17b09", "47647dd23fe8d5ac"),
+        "tail_uniform_s1_b1_alpha0.5": ("e60543197276fb1d", "b790bad6b80f1fbf", "7b16fe16e4603976"),
+        "tail_uniform_s1_b1_alpha1": ("680912fa50e34395", "cb3939206e371800", "4ca07d202bb107b4"),
+        "tail_uniform_s1_b1_alpha1.5": ("8088b0142ff935f1", "07dc3956ba1df235", "8d01d638a2655bd2"),
+        "tail_uniform_s1_b2_alpha0.5": ("f2623004aabb5a10", "b0ebbf43b81a16ce", "7b16fe16e4603976"),
+        "tail_uniform_s1_b2_alpha1": ("db2a36dd7a4a6205", "96bf9370f3d69790", "7abd613eda3709b5"),
+        "tail_uniform_s1_b2_alpha1.5": ("ece0d956bd1f516f", "529cdb0815879771", "a701f84184fcee14"),
+    }
+
+    @pytest.mark.parametrize("key", sorted(DIGESTS))
+    def test_estimates_and_matrices(self, key):
+        assert _golden_digests(key) == self.DIGESTS[key]
+
+    def test_scan_rows(self):
+        gauss = rate_slope_scan(_golden_profile("gauss_1_2"), 4, 3.0, [6, 8], 300, seed=14, min_points=1)
+        tail = rate_slope_scan(_golden_profile("tail_rademacher_b1_alpha1"), 4, 3.0, [6, 8], 300, seed=14,
+                               min_points=1)
+        assert _digest([dataclasses.asdict(r) for r in gauss.rows + tail.rows]) == "9ec79d29399bf846"
+        assert _digest(gauss.summary()) == "435b49cb181fb76f"
+
+    def test_bounded_probe_rows(self):
+        rows = bounded_entry_concentration_probe(9, 4, [0.5, 1.0], [0.1, 0.5], 300, seed=3)
+        assert _digest([dataclasses.asdict(r) for r in rows]) == "ae8e6bccb148d752"

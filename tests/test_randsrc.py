@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -11,15 +12,24 @@ from rmtldp.randsrc import (
     TailProfile,
     TwoPieceModulus,
     profile_from_json,
-    sample_gaussian_entry,
-    sample_wg_entry,
     tail_calibration_report,
 )
+from rmtldp.rates import rate_value, semicircle_moment, speed_exponent
 from rmtldp.rng import stream
 
 
 def se_of_proportion(p, n):
     return math.sqrt(p * (1 - p) / n)
+
+
+def pooled_entries(prof, part, rng, size, n=32):
+    """size draws of one part of draw_entries (0 diagonal, 1 strict upper
+    triangle), pooled over successive n x n draws from one stream."""
+    chunks, got = [], 0
+    while got < size:
+        chunks.append(prof.draw_entries(n, rng)[part])
+        got += chunks[-1].size
+    return np.concatenate(chunks)[:size]
 
 
 def tilt_oracle(law, eta):
@@ -58,14 +68,14 @@ class TestTailLaw:
 
     def test_empirical_tail_frequency(self):
         prof = TailProfile(alpha=1.0, a=1.0, b=1.0, t0=2.0, normalize_variance=False)
-        x = sample_wg_entry(prof, "diagonal", stream(11, 0), size=10 ** 6)
+        x = prof.sample_entries("diagonal", stream(11, 0), 10 ** 6)
         p = math.exp(-3.0)
         freq = float(np.mean(np.abs(x) > 3.0))
         assert abs(freq - p) <= 3.0 * se_of_proportion(p, 10 ** 6)
 
     def test_phase_symmetry_centers_entries(self):
         prof = TailProfile(alpha=1.0, a=1.0, b=1.0, t0=2.0, normalize_variance=False)
-        x = sample_wg_entry(prof, "offdiagonal", stream(11, 1), size=10 ** 6)
+        x = prof.sample_entries("offdiagonal", stream(11, 1), 10 ** 6)
         sd = float(np.std(x))
         assert abs(float(np.mean(x))) <= 3.0 * sd / 1000.0
 
@@ -75,7 +85,7 @@ class TestTailLaw:
         m2_quad, _ = integrate.quad(lambda t: t * t * float(law.pdf(np.array([t]))[0]), 0, law.t0)
         m2_quad += TwoPieceModulus.tail_second_moment(1.0, 1.0, 3.0)
         assert m2_quad == pytest.approx(1.0, abs=1e-6)
-        x = sample_wg_entry(prof, "offdiagonal", stream(11, 2), size=10 ** 6)
+        x = prof.sample_entries("offdiagonal", stream(11, 2), 10 ** 6)
         assert float(np.mean(np.abs(x) ** 2)) == pytest.approx(1.0, abs=0.01)
 
     def test_infeasible_normalization_names_minimal_t0(self):
@@ -94,7 +104,7 @@ class TestTailLaw:
 
     def test_modulus_phase_independence(self):
         prof = TailProfile(alpha=1.0, a=1.0, b=1.0, t0=2.0, normalize_variance=False)
-        x = sample_wg_entry(prof, "offdiagonal", stream(11, 3), size=10 ** 6)
+        x = prof.sample_entries("offdiagonal", stream(11, 3), 10 ** 6)
         mod = np.abs(x)
         pos = (np.sign(x) > 0).astype(float)
         corr = np.corrcoef(mod, pos)[0, 1]
@@ -102,14 +112,25 @@ class TestTailLaw:
 
     def test_reproducible_from_seed_and_stream(self):
         prof = TailProfile(alpha=1.0, a=1.0, b=1.0, t0=2.0, normalize_variance=False)
-        a = sample_wg_entry(prof, "offdiagonal", stream(42, 9), size=1000)
-        b = sample_wg_entry(prof, "offdiagonal", stream(42, 9), size=1000)
+        a = prof.sample_entries("offdiagonal", stream(42, 9), 1000)
+        b = prof.sample_entries("offdiagonal", stream(42, 9), 1000)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("phase, role, digest", [
+        ("rademacher", "offdiagonal", "06bed39c15a140dc"),
+        ("uniform_s1", "diagonal", "06bed39c15a140dc"),
+        ("uniform_s1", "offdiagonal", "80af4d8a3c8cc729"),
+    ])
+    def test_sample_entries_matches_recorded_draws(self, phase, role, digest):
+        # recorded from the per-entry sampler that sample_entries replaced
+        prof = TailProfile(alpha=1.0, a=1.0, b=1.0, t0=2.0, phase_offdiag=phase, normalize_variance=False)
+        x = prof.sample_entries(role, stream(11, 5), 1000)
+        assert hashlib.sha256(x.tobytes()).hexdigest()[:16] == digest
 
     def test_complex_phase_law(self):
         prof = TailProfile(alpha=1.0, a=1.0, b=1.0, t0=2.0,
                            phase_offdiag="uniform_s1", normalize_variance=False)
-        x = sample_wg_entry(prof, "offdiagonal", stream(11, 4), size=20000)
+        x = prof.sample_entries("offdiagonal", stream(11, 4), 20000)
         assert np.iscomplexobj(x)
         assert prof.beta == 2
         # phase uniform on the circle: mean near 0 in both components
@@ -144,20 +165,59 @@ class TestTilt:
         assert abs(float(g.mean()) - 1.0 / Z) <= 4.0 * float(g.std()) / math.sqrt(m)
 
 
+PROFILES = [
+    GaussianProfile(sigma2=1.0, beta=1),
+    GaussianProfile(sigma2=0.25, beta=2),
+    TailProfile(alpha=0.5, a=1.0, b=1.0, normalize_variance=False),
+    TailProfile(alpha=1.0, a=1.0, b=2.0, normalize_variance=False, phase_offdiag="uniform_s1"),
+    TailProfile(alpha=1.5, a=1.0, b=1.0, normalize_variance=False),
+]
+
+
+class TestProfileInterface:
+    @pytest.mark.parametrize("prof", PROFILES)
+    @pytest.mark.parametrize("p", [3, 4, 5, 6])
+    def test_rate_spec_speed_matches_profile_speed(self, prof, p):
+        spec = prof.rate_spec(p)
+        if spec is not None:
+            assert speed_exponent(spec) == prof.speed(p)
+
+    def test_tail_rate_spec_closed_form_only_where_known(self):
+        for alpha in (0.5, 1.0):
+            prof = TailProfile(alpha=alpha, a=1.0, b=1.0, normalize_variance=False)
+            for p in (4, 6):
+                spec = prof.rate_spec(p)
+                assert spec.theorem == "wigner_no_gaussian_tail"
+                assert spec.params["c_p"] == min(1.0, 2.0 ** (-alpha / p))
+            assert prof.rate_spec(5) is None
+        assert TailProfile(alpha=1.5, a=1.0, b=1.0, normalize_variance=False).rate_spec(4) is None
+
+    @pytest.mark.parametrize("prof", PROFILES)
+    def test_mechanism_is_the_cheaper_channel(self, prof):
+        spec = prof.rate_spec(4)
+        if isinstance(prof, GaussianProfile):
+            diag, pair = 0.5 / prof.sigma2, 0.5 * prof.beta / 2.0
+        else:
+            diag, pair = prof.b, 2.0 ** (-prof.alpha / 4) * prof.a
+        assert prof.mechanism(4) == ("diag" if diag <= pair else "offdiag")
+        if spec is not None:
+            assert rate_value(spec, semicircle_moment(4) + 1.0) == pytest.approx(min(diag, pair))
+
+
 class TestGaussianProfile:
     def test_diag_variance(self):
         prof = GaussianProfile(sigma2=2.0, beta=1)
-        x = sample_gaussian_entry(prof, "diagonal", stream(12, 0), size=10 ** 6)
+        x = pooled_entries(prof, 0, stream(12, 0), 10 ** 6)
         assert float(np.var(x)) == pytest.approx(2.0, abs=0.02)
 
     def test_beta2_offdiag_unit_modulus(self):
         prof = GaussianProfile(sigma2=1.0, beta=2)
-        x = sample_gaussian_entry(prof, "offdiagonal", stream(12, 1), size=10 ** 6)
+        x = pooled_entries(prof, 1, stream(12, 1), 10 ** 6)
         assert float(np.mean(np.abs(x) ** 2)) == pytest.approx(1.0, abs=0.01)
 
     def test_beta1_offdiag_skewness(self):
         prof = GaussianProfile(sigma2=1.0, beta=1)
-        x = sample_gaussian_entry(prof, "offdiagonal", stream(12, 2), size=10 ** 6)
+        x = pooled_entries(prof, 1, stream(12, 2), 10 ** 6)
         skew = float(np.mean(x ** 3) / np.mean(x ** 2) ** 1.5)
         assert abs(skew) <= 0.01
 

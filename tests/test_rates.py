@@ -20,6 +20,7 @@ from rmtldp.rates import (
     trace_linearization_discrepancy,
 )
 from rmtldp.rng import stream
+from rmtldp.varopt import cost_I, solve_rate_constant
 
 
 class TestCatalanAndSemicircle:
@@ -86,7 +87,7 @@ class TestRateValues:
     def test_loglog_slope_recovers_exponent(self):
         for spec, expo in [
             (RateSpec.for_gaussian(4, 2.0, 1), 2.0 / 4),
-            (RateSpec.for_wg(6, 0.7, 1.3), 2.0 / 6),
+            (RateSpec.for_wg(6, 0.7, 1.3), 1.3 / 6),
             (RateSpec.for_beta_ensemble(5, 2.0, 2.0, 0.0), 2.0 / 5),
         ]:
             u1, u2 = 0.7, 1.9
@@ -94,6 +95,18 @@ class TestRateValues:
                 math.log(u2) - math.log(u1)
             )
             assert s == pytest.approx(expo, abs=1e-9)
+
+    @pytest.mark.parametrize("alpha, p", [(1.0, 4), (0.5, 6), (1.5, 4)])
+    @pytest.mark.parametrize("delta", [0.25, 4.0])
+    def test_heavy_tail_rate_is_cost_of_scaled_argmin(self, alpha, p, delta):
+        # J(C + delta) = inf{I(A) : tr A**p = delta}; I is alpha-homogeneous
+        # and tr A**p is p-homogeneous, so scaling the unit-trace argmin by
+        # delta**(1/p) attains it
+        res = solve_rate_constant(alpha, 1.0, 1.0, p, budget=8, seed=0)
+        B = res.argmin.matrix().scaled(delta ** (1.0 / p))
+        assert trace_power(B, p) == pytest.approx(delta, rel=1e-9)
+        rate = rate_value(RateSpec.for_wg(p, res.value, alpha), semicircle_moment(p) + delta)
+        assert cost_I(B, 1.0, 1.0, alpha) == pytest.approx(rate, rel=1e-9)
 
     def test_linear_in_leading_coefficient(self):
         m = 0.3
