@@ -177,10 +177,17 @@ def cmd_deviations(config: dict, seed: int, out, fmt: str) -> int:
 def cmd_sample(config: dict, seed: int, out, fmt: str) -> int:
     what = config.get("what", "loggas")
     if what == "loggas":
-        potential = Potential.from_json(config["potential"])
-        N = int(config["N"])
         sweeps = int(config.get("sweeps", 0))
-        state = GasState.initial(potential, N, seed)
+        if "checkpoint" in config:
+            # continue a previous artifact's chain; its stream state replaces the seed
+            state, potential = GasState.from_checkpoint(config["checkpoint"])
+            if "potential" in config and Potential.from_json(config["potential"]) != potential:
+                raise ValueError("config potential disagrees with the checkpoint's")
+            if "N" in config and int(config["N"]) != state.lambdas.size:
+                raise ValueError(f"config N={config['N']} disagrees with the checkpoint's N={state.lambdas.size}")
+        else:
+            potential = Potential.from_json(config["potential"])
+            state = GasState.initial(potential, int(config["N"]), seed)
         run_chain(state, potential, sweeps, tune=bool(config.get("tune", False)))
         _emit_json(out, _meta(config, seed), {"checkpoint": state.checkpoint(potential)})
         return EXIT_OK

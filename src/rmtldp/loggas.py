@@ -2,12 +2,15 @@
 
 The target is the density proportional to
 
-    prod_{i<j} |l_i - l_j|**beta * exp(-N sum_i V(l_i)),
+    prod_{i<j} |l_i - l_j|**beta * exp(-N sum_i V(l_i)).
 
-sampled by single-coordinate Metropolis.  Each sweep forms every proposal
-and its potential change at once (coordinate i is untouched until its own
-update); per coordinate, one stacked (2, N) log-difference gives the
-interaction change (O(N) per coordinate, O(N^2) per sweep).
+For V = b x**2 (alpha = 2, no remainder) this is the beta-Hermite ensemble,
+which sample_beta_hermite draws exactly and iid from the Dumitriu-Edelman
+tridiagonal model.  Every other potential is sampled by single-coordinate
+Metropolis.  Each sweep forms every proposal and its potential change at
+once (coordinate i is untouched until its own update); per coordinate, one
+stacked (2, N) log-difference gives the interaction change (O(N) per
+coordinate, O(N^2) per sweep).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ __all__ = [
     "log_accept_probability",
     "mcmc_sweep",
     "run_chain",
+    "sample_beta_hermite",
     "moment",
     "truncated_moment",
     "MomentEstimate",
@@ -76,6 +80,13 @@ class Potential:
             elif self.w_kind == "quadratic":
                 v = v + self.w_coef * ax ** 2
         return v
+
+    @property
+    def is_beta_hermite(self) -> bool:
+        """True when the gas is the beta-Hermite ensemble V = b x**2, which
+        sample_beta_hermite draws exactly (a quadratic remainder is not
+        admissible at alpha = 2, so no remainder coefficient means none)."""
+        return self.alpha == 2 and self.w_coef == 0
 
     def to_json(self) -> dict:
         return {"b": self.b, "alpha": self.alpha, "beta": self.beta,
@@ -244,6 +255,39 @@ def run_chain(
     return state
 
 
+# dense tridiagonal matrices per eigvalsh call: a bounded stack, never one
+# (n_samples, N, N) array
+_HERMITE_BLOCK = 64
+
+
+def sample_beta_hermite(potential: Potential, N: int, n_samples: int, rng: np.random.Generator) -> np.ndarray:
+    """n_samples iid configurations of the gas V = b x**2, shape (n_samples, N),
+    each row ascending.
+
+    Dumitriu-Edelman: the tridiagonal T with diagonal sqrt(2) N(0, 1) and
+    off-diagonal sqrt(chi2_{beta (N - i)}), i = 1..N-1, has joint eigenvalue
+    density proportional to prod |m_i - m_j|**beta exp(-sum m_i**2 / 4), so
+    lambda = eig(T) / sqrt(4 N b).  All entries are drawn before any
+    eigenvalue is taken, so the draws do not depend on the block size.
+    """
+    if not potential.is_beta_hermite:
+        raise ValueError("the beta-Hermite draw needs alpha == 2 and no remainder")
+    if N < 2:
+        raise ValueError("N must be >= 2")
+    diag = math.sqrt(2.0) * rng.standard_normal((n_samples, N))
+    off = np.sqrt(rng.chisquare(potential.beta * np.arange(N - 1, 0, -1.0), size=(n_samples, N - 1)))
+    lam = np.empty((n_samples, N))
+    block = np.zeros((min(_HERMITE_BLOCK, n_samples), N, N))
+    d_idx = np.arange(N)
+    for start in range(0, n_samples, _HERMITE_BLOCK):
+        stop = min(start + _HERMITE_BLOCK, n_samples)
+        t = block[: stop - start]
+        t[:, d_idx, d_idx] = diag[start:stop]
+        t[:, d_idx[1:], d_idx[:-1]] = off[start:stop]  # eigvalsh reads the lower triangle
+        lam[start:stop] = np.linalg.eigvalsh(t)
+    return lam / math.sqrt(4.0 * N * potential.b)
+
+
 def moment(lambdas, p: int) -> float:
     """(1/N) sum lambda_i**p."""
     lam = np.asarray(lambdas, dtype=float)
@@ -280,6 +324,7 @@ class MomentEstimate:
     geweke: float
     flagged: bool
     n_samples: int
+    method: str  # "beta_hermite" or "chain"
 
 
 def estimate_equilibrium_moment(
@@ -292,21 +337,36 @@ def estimate_equilibrium_moment(
     thin: int | None = None,
 ) -> MomentEstimate:
     """Monte Carlo estimate of the equilibrium measure's p-th moment from
-    thinned chain samples of the empirical moment, with batch-mean
-    standard error.  A Geweke score beyond 3 flags (never hides) a
-    non-converged chain."""
+    n_samples values of the empirical moment (1/N) sum lambda_i**p.
+
+    When potential.is_beta_hermite the values come from iid exact draws of
+    sample_beta_hermite on stream (seed, 13), burn_in and thin are ignored,
+    and the standard error is the iid one, sample sd / sqrt(n_samples).
+    Otherwise they are thinned samples of one tuned Metropolis chain
+    (burn_in sweeps, then one sample every thin sweeps, thin defaulting to
+    N) with batch-mean standard error.  On both paths a Geweke score beyond
+    3 flags (never hides) a non-stationary sample series; `method` says
+    which path ran.
+    """
+    method = "beta_hermite" if potential.is_beta_hermite else "chain"
     if p == 0:
-        return MomentEstimate(1.0, 0.0, 0.0, False, 0)
-    if thin is None:
-        thin = N
-    samples = _chain_samples(potential, N, seed, burn_in, thin, n_samples, lambda lam: moment(lam, p))
+        return MomentEstimate(1.0, 0.0, 0.0, False, 0, method)
+    if method == "beta_hermite":
+        samples = np.mean(sample_beta_hermite(potential, N, n_samples, stream(seed, 13)) ** p, axis=1)
+        stderr = float(np.std(samples, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else math.inf
+    else:
+        if thin is None:
+            thin = N
+        samples = _chain_samples(potential, N, seed, burn_in, thin, n_samples, lambda lam: moment(lam, p))
+        stderr = batch_mean_stderr(samples)
     z = geweke_z(samples)
     return MomentEstimate(
         estimate=float(samples.mean()),
-        stderr=batch_mean_stderr(samples),
+        stderr=stderr,
         geweke=z,
         flagged=bool(abs(z) > 3.0),
         n_samples=n_samples,
+        method=method,
     )
 
 

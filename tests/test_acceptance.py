@@ -19,7 +19,17 @@ import numpy as np
 import pytest
 
 from rmtldp.devlab import estimate_tail_naive, estimate_tail_planted_is, rate_slope_scan
-from rmtldp.loggas import GasState, Potential, concentration_bound, lipschitz_concentration_probe, moment, run_chain
+from rmtldp.loggas import (
+    LIPSCHITZ_REGISTRY,
+    GasState,
+    Potential,
+    _chain_samples,
+    concentration_bound,
+    lipschitz_concentration_probe,
+    moment,
+    run_chain,
+    sample_beta_hermite,
+)
 from rmtldp.matcore import HermMatrix, eigvals, normalized_trace_power, trace_power
 from rmtldp.randsrc import GaussianProfile
 from rmtldp.rates import (
@@ -200,6 +210,31 @@ def test_criterion_08_concentration_bound():
         details.append(f"t={r.t}: freq={r.frequency:.2e} bound={r.bound:.2e}")
     assert concentration_bound(pot, 32, 0.5) == pytest.approx(math.exp(-64.0))
     assert report(8, ok, "; ".join(details))
+
+
+def test_criterion_08_companion_chain_matches_exact_sampler():
+    # criterion 08 probes t far beyond the fluctuation scale, where every
+    # frequency is 0; here t = 1/N and 2/N, where they are 0.12 and 0.01,
+    # and the chain's centred exceedance frequencies of the sin linear
+    # statistic must match iid beta-Hermite draws of the same gas
+    from rmtldp.stats import batch_mean_stderr
+
+    pot = Potential(b=0.25, alpha=2.0, beta=1.0)
+    N, f = 12, LIPSCHITZ_REGISTRY["sin"]
+    chain = _chain_samples(pot, N, 1108, 1000, 2, 6000, lambda lam: np.mean(f(lam)))
+    exact = np.mean(f(sample_beta_hermite(pot, N, 20_000, stream(1108, 1))), axis=1)
+    ok = True
+    details = []
+    for t in (1.0 / N, 2.0 / N):
+        hits_mc = (chain - chain.mean() > t).astype(float)
+        hits_ex = exact - exact.mean() > t
+        mc, se_mc = float(hits_mc.mean()), batch_mean_stderr(hits_mc)
+        ex = float(hits_ex.mean())
+        se_ex = math.sqrt(ex * (1.0 - ex) / exact.size)
+        z = abs(mc - ex) / math.hypot(se_mc, se_ex)
+        ok = ok and z <= 4.0
+        details.append(f"t={t:.4f}: chain {mc:.4f} vs exact {ex:.4f} (z={z:.2f})")
+    assert report(8, ok, "(companion) " + "; ".join(details))
 
 
 def _planted_traces(n_trials=200, n=256, delta=1.0, p=4, seed=1009):

@@ -170,6 +170,29 @@ class TestSampleCommand:
         assert (resumed.accept_count, resumed.proposal_count, resumed.sweep_count) == (
             whole.accept_count, whole.proposal_count, whole.sweep_count)
 
+    def test_resume_from_artifact_equals_one_run(self, tmp_path):
+        cfg = {"what": "loggas", "potential": {"b": 0.25, "alpha": 2.0, "beta": 1.0}, "N": 8}
+        _, first = run_cli(tmp_path, "sample", dict(cfg, sweeps=30), seed=3, fmt="json", name="first")
+        ck30 = json.loads(first.read_text())["checkpoint"]
+        code, resumed = run_cli(tmp_path, "sample", dict(cfg, sweeps=10, checkpoint=ck30), seed=3, fmt="json",
+                                name="resumed")
+        assert code == 0
+        _, whole = run_cli(tmp_path, "sample", dict(cfg, sweeps=40), seed=3, fmt="json", name="whole")
+        ck_resumed = json.loads(resumed.read_text())["checkpoint"]
+        ck_whole = json.loads(whole.read_text())["checkpoint"]
+        assert ck_whole["sweep_count"] == 40
+        assert json.dumps(ck_resumed, sort_keys=True) == json.dumps(ck_whole, sort_keys=True)
+
+    @pytest.mark.parametrize("override", [{"N": 9}, {"potential": {"b": 0.5, "alpha": 2.0, "beta": 1.0}}])
+    def test_resume_with_disagreeing_config_exit_2(self, tmp_path, capsys, override):
+        cfg = {"what": "loggas", "potential": {"b": 0.25, "alpha": 2.0, "beta": 1.0}, "N": 8, "sweeps": 5}
+        _, first = run_cli(tmp_path, "sample", cfg, fmt="json", name="first")
+        ck = json.loads(first.read_text())["checkpoint"]
+        capsys.readouterr()
+        code, _ = run_cli(tmp_path, "sample", dict(cfg, checkpoint=ck, **override), fmt="json", name="bad")
+        assert code == 2
+        assert "disagrees with the checkpoint" in capsys.readouterr().err
+
     def test_wigner_eigenvalues_csv(self, tmp_path):
         cfg = {"what": "wigner", "model": {"kind": "gaussian", "sigma2": 1.0, "beta": 1}, "n": 16}
         code, out = run_cli(tmp_path, "sample", cfg)

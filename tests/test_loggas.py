@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from rmtldp import loggas, matcore
 from rmtldp.loggas import (
     GasState,
     MomentEstimate,
@@ -19,13 +20,16 @@ from rmtldp.loggas import (
     loggas_logdensity,
     mcmc_sweep,
     moment,
+    _chain_samples,
     run_chain,
+    sample_beta_hermite,
     sample_single_particle,
     truncated_moment,
 )
 from rmtldp.matcore import eigvals
 from rmtldp.randsrc import GaussianProfile
 from rmtldp.rng import stream
+from rmtldp.stats import batch_mean_stderr, geweke_z
 from rmtldp.wigner import assemble_wigner
 
 
@@ -323,9 +327,9 @@ class TestEquilibriumMoment:
 
     def test_recorded_estimate_and_probe_rows(self):
         # tuned burn-in, thinning and statistic of the shared chain loop, pinned
-        est = estimate_equilibrium_moment(Potential(b=0.25, alpha=2.0, beta=1.0), 4, 12, 60,
-                                          seed=3, burn_in=300, thin=2)
-        assert est == MomentEstimate(2.467206804274297, 0.1404644117817143, -2.450352311785067, False, 60)
+        samples = _chain_samples(Potential(b=0.25, alpha=2.0, beta=1.0), 12, 3, 300, 2, 60, lambda lam: moment(lam, 4))
+        assert (float(samples.mean()), batch_mean_stderr(samples), geweke_z(samples)) == (
+            2.467206804274297, 0.1404644117817143, -2.450352311785067)
         rows = lipschitz_concentration_probe(Potential(b=1.0, alpha=2.0, beta=1.0), "sin", 10, [0.0, 0.02], 80,
                                              seed=6, burn_in=300, thin=2)
         assert [(r.t, r.frequency, r.stderr, r.bound, r.violated) for r in rows] == [
@@ -337,6 +341,80 @@ class TestEquilibriumMoment:
         pot = Potential(b=1.0, alpha=2.0, beta=1.0)
         res = estimate_equilibrium_moment(pot, 2, 8, 40, seed=3, burn_in=300, thin=2)
         assert isinstance(res, MomentEstimate)
+
+    def test_recorded_exact_estimate(self):
+        # beta-Hermite draws on stream (seed, 13); burn_in and thin are ignored
+        pot = Potential(b=0.25, alpha=2.0, beta=1.0)
+        est = estimate_equilibrium_moment(pot, 4, 12, 60, seed=3, burn_in=300, thin=2)
+        assert est == MomentEstimate(2.38648370759519, 0.10078769093118205, 0.2738477312590712, False, 60,
+                                     "beta_hermite")
+        assert estimate_equilibrium_moment(pot, 4, 12, 60, seed=3, burn_in=0, thin=7) == est
+        samples = np.mean(sample_beta_hermite(pot, 12, 60, stream(3, 13)) ** 4, axis=1)
+        assert est.stderr == float(np.std(samples, ddof=1) / math.sqrt(60))
+
+    def test_method_follows_the_potential(self):
+        assert not Potential(b=0.5, alpha=4.0, beta=1.0).is_beta_hermite
+        assert not Potential(b=1.0, alpha=2.0, beta=1.0, w_kind="abs", w_coef=0.5).is_beta_hermite
+        assert Potential(b=1.0, alpha=2.0, beta=1.0, w_kind="abs", w_coef=0.0).is_beta_hermite
+        res = estimate_equilibrium_moment(Potential(b=0.5, alpha=4.0, beta=1.0), 2, 8, 40, seed=3, burn_in=300, thin=2)
+        assert res.method == "chain" and res.n_samples == 40
+        assert estimate_equilibrium_moment(Potential(b=1.0, alpha=2.0, beta=1.0), 0, 8, 40).method == "beta_hermite"
+
+    def test_exact_path_uses_one_stream_and_no_matrix_type(self, monkeypatch):
+        streams = []
+        monkeypatch.setattr(loggas, "stream", lambda *key: streams.append(key) or stream(*key))
+
+        def no_herm(*args, **kwargs):
+            raise AssertionError("HermMatrix built")
+
+        monkeypatch.setattr(matcore.HermMatrix, "__init__", no_herm)
+        estimate_equilibrium_moment(Potential(b=0.25, alpha=2.0, beta=1.0), 2, 32, 100, seed=9)
+        assert streams == [(9, 13)]
+
+
+def _hermite_moment4(N, b, beta):
+    """E[(1/N) sum lambda**4] from the walk expansion of tr T**4 over the
+    tridiagonal T (diagonal a ~ N(0, 2), off-diagonal squares b_i**2 ~
+    chi2_{k_i}, k_i = beta (N - i)):
+    tr T**4 = sum a**4 + 4 sum b_i**2 (a_i**2 + a_i a_{i+1} + a_{i+1}**2)
+              + 2 sum b_i**4 + 4 sum b_i**2 b_{i+1}**2."""
+    k = beta * np.arange(N - 1, 0, -1.0)
+    tr4 = 12 * N + 16 * k.sum() + 2 * np.sum(k * (k + 2)) + 4 * np.sum(k[:-1] * k[1:])
+    return float(tr4 / (4 * N * (2 * N * b) ** 2))
+
+
+class TestBetaHermite:
+    def test_moment4_formula_is_goe_at_beta_one(self):
+        for N in (4, 12, 32):
+            assert _hermite_moment4(N, 0.25, 1.0) == pytest.approx(2 + 5 / N + 5 / N ** 2, rel=1e-14)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("N, b", [(6, 1.0), (16, 0.25)])
+    def test_exact_moments(self, beta, N, b):
+        pot = Potential(b=b, alpha=2.0, beta=beta)
+        lam = sample_beta_hermite(pot, N, 20_000, stream(310, N, int(4 * beta)))
+        exact = {2: (1 + beta * (N - 1) / 2) / (2 * N * b), 4: _hermite_moment4(N, b, beta)}
+        for p, value in exact.items():
+            m = np.mean(lam ** p, axis=1)
+            assert abs(m.mean() - value) <= 4.0 * m.std(ddof=1) / math.sqrt(m.size)
+
+    def test_same_seed_same_bytes(self):
+        pot = Potential(b=0.5, alpha=2.0, beta=2.5)
+        a = sample_beta_hermite(pot, 9, 150, stream(311))
+        assert a.shape == (150, 9) and np.all(np.diff(a, axis=1) >= 0)
+        assert a.tobytes() == sample_beta_hermite(pot, 9, 150, stream(311)).tobytes()
+
+    @pytest.mark.parametrize("block", [1, 7, 500])
+    def test_block_size_does_not_change_draws(self, monkeypatch, block):
+        pot = Potential(b=0.25, alpha=2.0, beta=1.0)
+        ref = sample_beta_hermite(pot, 10, 200, stream(312))
+        monkeypatch.setattr(loggas, "_HERMITE_BLOCK", block)
+        assert sample_beta_hermite(pot, 10, 200, stream(312)).tobytes() == ref.tobytes()
+
+    def test_rejects_potentials_it_cannot_draw(self):
+        for pot in (Potential(b=1.0, alpha=4.0, beta=1.0), Potential(b=1.0, alpha=2.0, beta=1.0, w_kind="abs", w_coef=0.1)):
+            with pytest.raises(ValueError):
+                sample_beta_hermite(pot, 8, 10, stream(313))
 
 
 class TestIidOracle:
