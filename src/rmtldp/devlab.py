@@ -1,8 +1,10 @@
 """Rare-event probability estimation for normalized trace powers.
 
-Two estimators over a common trial layout: trial k draws from its own
-Philox stream stream(seed, 1, k), and trials are assembled and evaluated
-in batches of 256, so the batching never changes results:
+Two estimators over one trial pass: trial k draws from its own Philox
+stream stream(seed, 1, k), and trials are assembled and evaluated in
+batches of 256, so the batching never changes results.  The pass takes the
+unplanted trace power of each matrix and, when given a plant, plants the
+same matrix and takes its planted trace power and weight as well:
 
 * naive       - plain exceedance frequency with a Wilson interval;
 * planted_is  - self-normalized importance sampling whose proposal plants
@@ -14,7 +16,8 @@ in batches of 256, so the batching never changes results:
 
 The estimators never look at the entry law itself.  They take any profile
 with ``beta``, ``speed(p)``, ``mechanism(p)``, ``rate_spec(p)``,
-``draw_entries(n, rng)`` and ``proposal(mech, shift)`` (see ``randsrc``).
+``draw_entries(n, rng)`` and ``proposal(mech, shift)`` (see ``randsrc``),
+whose plant writes only inside the [:2, :2] block of a raw matrix.
 
 Estimates are asymptotic-regime probes: slopes -log p / n**speed are
 reported against the closed-form rate for comparison, with no convergence
@@ -69,6 +72,47 @@ def _batches(n_trials: int, *path: int):
         yield start, [stream(*path, k) for k in range(start, min(start + _CHUNK, n_trials))]
 
 
+def _trial_values(model, n: int, p: int, n_trials: int, seed: int, plant=None):
+    """Trace powers tr_n X**p of every trial, each matrix drawn once.
+
+    Returns (values, planted, logw).  Without a plant the last two are
+    None.  With one, each trial's matrix is planted after its unplanted
+    value is taken, from the same stream: ``planted`` holds the planted
+    trace powers and ``logw`` the log density ratios.  A plant writes only
+    inside the [:2, :2] block, so only that block is rescaled again.
+    """
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
+    root = math.sqrt(n)
+    values = np.empty(n_trials)
+    planted = logw = None
+    if plant is not None:
+        planted, logw = np.empty(n_trials), np.empty(n_trials)
+    for start, rngs in _batches(n_trials, seed, 1):
+        stop = start + len(rngs)
+        mats = _dense_trial_matrix(model, n, rngs)
+        scaled = mats / root
+        values[start:stop] = _normalized_trace_powers(scaled, p)
+        if plant is not None:
+            for k, rng in enumerate(rngs):
+                logw[start + k] = plant(mats[k], rng)
+            scaled[:, :2, :2] = mats[:, :2, :2] / root
+            planted[start:stop] = _normalized_trace_powers(scaled, p)
+        del mats, scaled  # one batch of matrices alive at a time
+    return values, planted, logw
+
+
+def _naive_estimate(model, n: int, p: int, x: float, hits: int, n_trials: int) -> DeviationEstimate:
+    p_hat = hits / n_trials
+    lo, hi = wilson_interval(hits, n_trials)
+    se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n_trials)
+    slope = -math.log(p_hat) / n ** model.speed(p) if 0.0 < p_hat else None
+    return DeviationEstimate(
+        n=n, x=float(x), p_hat=p_hat, stderr=se, n_trials=n_trials, method="naive",
+        slope=slope, ci_low=lo, ci_high=hi, hits=hits, flagged=hits == 0,
+    )
+
+
 def estimate_tail_naive(
     model,
     n: int,
@@ -78,21 +122,8 @@ def estimate_tail_naive(
     seed: int = 0,
 ) -> DeviationEstimate:
     """Frequency of {tr_n X_n**p >= x} over independent draws."""
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    values = np.empty(n_trials)
-    for start, rngs in _batches(n_trials, seed, 1):
-        mats = _dense_trial_matrix(model, n, rngs)
-        values[start : start + len(rngs)] = _normalized_trace_powers(mats / math.sqrt(n), p)
-    hits = int(np.count_nonzero(values >= x))
-    p_hat = hits / n_trials
-    lo, hi = wilson_interval(hits, n_trials)
-    se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n_trials)
-    slope = -math.log(p_hat) / n ** model.speed(p) if 0.0 < p_hat else None
-    return DeviationEstimate(
-        n=n, x=float(x), p_hat=p_hat, stderr=se, n_trials=n_trials, method="naive",
-        slope=slope, ci_low=lo, ci_high=hi, hits=hits, flagged=hits == 0,
-    )
+    values, _, _ = _trial_values(model, n, p, n_trials, seed)
+    return _naive_estimate(model, n, p, x, int(np.count_nonzero(values >= x)), n_trials)
 
 
 def estimate_tail_planted_is(
@@ -105,8 +136,10 @@ def estimate_tail_planted_is(
     ess_floor: float = 50.0,
 ) -> DeviationEstimate:
     """Self-normalized importance sampling with a planted single-entry
-    proposal; supports even p and thresholds above the center (odd-p
-    deviations fall back to the naive estimator)."""
+    proposal; supports even p and thresholds at or above the center, and
+    raises otherwise.  notes["naive_hits"] counts the unplanted matrices of
+    the same draws that reach x, the hits estimate_tail_naive reports at
+    this seed."""
     if p % 2:
         raise ValueError("planted importance sampling supports even p only")
     center = semicircle_moment(p)
@@ -117,16 +150,9 @@ def estimate_tail_planted_is(
     theta = (n * delta) ** (1.0 / p) if mech == "diag" else (n * delta / 2.0) ** (1.0 / p)
     shift = math.sqrt(n) * theta  # raw-entry scale
     plant, weight_var = model.proposal(mech, shift)
+    values, planted, logw = _trial_values(model, n, p, n_trials, seed, plant)
 
-    logw = np.empty(n_trials)
-    values = np.empty(n_trials)
-    for start, rngs in _batches(n_trials, seed, 1):
-        mats = _dense_trial_matrix(model, n, rngs)
-        for k, rng in enumerate(rngs):
-            logw[start + k] = plant(mats[k], rng)
-        values[start : start + len(rngs)] = _normalized_trace_powers(mats / math.sqrt(n), p)
-
-    hit = values >= x
+    hit = planted >= x
     L = float(np.max(logw))
     wn = np.exp(logw - L)
     sw = float(np.sum(wn))
@@ -135,10 +161,12 @@ def estimate_tail_planted_is(
     ess = sw * sw / float(np.sum(wn * wn))
     with np.errstate(over="ignore"):
         w_mean = float(np.exp(L) * wn.mean())
-        if weight_var is None:  # no closed form: the empirical standard error
-            w_mean_se = float(np.exp(L) * wn.std(ddof=1) / math.sqrt(n_trials))
-        else:
+        if weight_var is not None:
             w_mean_se = float(np.sqrt(weight_var / n_trials))
+        elif n_trials == 1:  # one weight gives no error estimate
+            w_mean_se = math.inf
+        else:  # no closed form: the empirical standard error
+            w_mean_se = float(np.exp(L) * wn.std(ddof=1) / math.sqrt(n_trials))
     slope = -math.log(p_hat) / n ** model.speed(p) if p_hat > 0 else None
     lo = max(0.0, p_hat - 3.0 * se)
     hi = min(1.0, p_hat + 3.0 * se)
@@ -146,7 +174,8 @@ def estimate_tail_planted_is(
         n=n, x=float(x), p_hat=p_hat, stderr=se, n_trials=n_trials, method="planted_is",
         slope=slope, ci_low=lo, ci_high=hi, hits=int(hit.sum()), ess=float(ess),
         flagged=bool(ess < ess_floor), weight_mean=w_mean, weight_mean_se=w_mean_se,
-        notes={"mechanism": mech, "theta": theta, "delta": delta},
+        notes={"mechanism": mech, "theta": theta, "delta": delta,
+               "naive_hits": int(np.count_nonzero(values >= x))},
     )
 
 
@@ -196,7 +225,10 @@ def rate_slope_scan(
 
     method='auto' keeps the naive estimate when it sees >= 10 hits and
     switches to planted importance sampling otherwise (even p above the
-    center).  Rows where neither estimator is usable come back flagged.
+    center).  Where the switch is possible, auto draws each trial once:
+    one planted IS pass, whose unplanted hits (notes["naive_hits"]) give
+    the naive estimate it keeps.  Rows where neither estimator is usable
+    come back flagged.
     A trend summary needs at least 3 grid points; callers that only want
     per-n rows may pass min_points=1.
     """
@@ -205,15 +237,17 @@ def rate_slope_scan(
         raise ValueError(f"n_grid must be ascending with at least {min_points} points")
     speed = model.speed(p)
     center = semicircle_moment(p)
+    plantable = p % 2 == 0 and x > center
     rows = []
     for idx, n in enumerate(n_grid):
         est = None
-        if method in ("auto", "naive"):
+        if method == "naive" or (method == "auto" and not plantable):
             est = estimate_tail_naive(model, n, p, x, trials_per_n, seed=seed + idx)
-            if method == "auto" and (est.hits or 0) < 10 and p % 2 == 0 and x > center:
-                est = None
-        if est is None and method in ("auto", "planted_is") and p % 2 == 0 and x > center:
+        elif method in ("auto", "planted_is") and plantable:
             est = estimate_tail_planted_is(model, n, p, x, trials_per_n, seed=seed + idx)
+            hits = est.notes["naive_hits"]
+            if method == "auto" and hits >= 10:
+                est = _naive_estimate(model, n, p, x, hits, trials_per_n)
         if est is None or est.p_hat <= 0.0:
             rows.append(ScanRow(n, None, math.inf, math.inf, 0.0, est.method if est else "none", True))
             continue

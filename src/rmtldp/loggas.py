@@ -118,7 +118,11 @@ def log_accept_probability(delta: float) -> float:
 
 @dataclass
 class GasState:
-    """Mutable chain state: configuration, proposal scale, counters."""
+    """Mutable chain state: configuration, proposal scale, counters.
+
+    window_accept and window_proposals count the sweeps since the last
+    tuning-window boundary (a multiple of run_chain's tune_interval in
+    sweep_count), so a tuned chain resumes mid-window."""
 
     lambdas: np.ndarray
     step: float
@@ -126,6 +130,8 @@ class GasState:
     accept_count: int = 0
     proposal_count: int = 0
     sweep_count: int = 0
+    window_accept: int = 0
+    window_proposals: int = 0
 
     @classmethod
     def initial(cls, potential: Potential, N: int, seed: int, chain_id: int = 0, step: float | None = None) -> "GasState":
@@ -161,6 +167,8 @@ class GasState:
             "sweep_count": self.sweep_count,
             "accept_count": self.accept_count,
             "proposal_count": self.proposal_count,
+            "window_accept": self.window_accept,
+            "window_proposals": self.window_proposals,
             "rng_state": rng_state,
         }
 
@@ -187,6 +195,8 @@ class GasState:
             sweep_count=int(obj["sweep_count"]),
             accept_count=int(obj.get("accept_count", 0)),
             proposal_count=int(obj.get("proposal_count", 0)),
+            window_accept=int(obj.get("window_accept", 0)),
+            window_proposals=int(obj.get("window_proposals", 0)),
         )
         return state, potential
 
@@ -238,20 +248,24 @@ def run_chain(
 ) -> GasState:
     """Run n_sweeps sweeps; optionally adapt the step toward the target
     acceptance rate (only do this during burn-in, the adapted step must be
-    frozen before samples are collected)."""
-    window_acc = window_prop = 0
-    for k in range(n_sweeps):
+    frozen before samples are collected).
+
+    Tuning windows end where state.sweep_count is a multiple of
+    tune_interval, and the open window's counts live in the state, so
+    tuned runs of a and b sweeps equal one tuned run of a + b."""
+    for _ in range(n_sweeps):
         a0, p0 = state.accept_count, state.proposal_count
         mcmc_sweep(state, potential)
-        window_acc += state.accept_count - a0
-        window_prop += state.proposal_count - p0
-        if tune and (k + 1) % tune_interval == 0 and window_prop:
-            rate = window_acc / window_prop
-            if rate > target_acceptance + 0.1:
-                state.step *= 1.2
-            elif rate < target_acceptance - 0.1:
-                state.step /= 1.2
-            window_acc = window_prop = 0
+        state.window_accept += state.accept_count - a0
+        state.window_proposals += state.proposal_count - p0
+        if state.sweep_count % tune_interval == 0:
+            if tune and state.window_proposals:
+                rate = state.window_accept / state.window_proposals
+                if rate > target_acceptance + 0.1:
+                    state.step *= 1.2
+                elif rate < target_acceptance - 0.1:
+                    state.step /= 1.2
+            state.window_accept = state.window_proposals = 0
     return state
 
 

@@ -134,6 +134,12 @@ class TestDeviationsCommand:
         assert code1 == code2 and code2 in (0, 4)
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_zero_trials_exit_2(self, tmp_path, capsys):
+        cfg = dict(self.CFG, x=3.0, trials=0, method="auto")
+        code, _ = run_cli(tmp_path, "deviations", cfg)
+        assert code == 2
+        assert "n_trials must be >= 1" in capsys.readouterr().err
+
     def test_flagged_rows_exit_4(self, tmp_path):
         cfg = dict(self.CFG, x=50.0, trials=50)  # unreachable: zero hits everywhere
         code, out = run_cli(tmp_path, "deviations", cfg)
@@ -181,6 +187,19 @@ class TestSampleCommand:
         ck_resumed = json.loads(resumed.read_text())["checkpoint"]
         ck_whole = json.loads(whole.read_text())["checkpoint"]
         assert ck_whole["sweep_count"] == 40
+        assert json.dumps(ck_resumed, sort_keys=True) == json.dumps(ck_whole, sort_keys=True)
+
+    def test_tuned_resume_mid_window_equals_one_run(self, tmp_path):
+        cfg = {"what": "loggas", "potential": {"b": 0.25, "alpha": 2.0, "beta": 1.0}, "N": 16, "tune": True}
+        _, first = run_cli(tmp_path, "sample", dict(cfg, sweeps=150), seed=3, fmt="json", name="first")
+        ck150 = json.loads(first.read_text())["checkpoint"]
+        assert ck150["window_proposals"] == 50 * 16
+        _, resumed = run_cli(tmp_path, "sample", dict(cfg, sweeps=150, checkpoint=ck150), seed=3, fmt="json",
+                             name="resumed")
+        _, whole = run_cli(tmp_path, "sample", dict(cfg, sweeps=300), seed=3, fmt="json", name="whole")
+        ck_resumed = json.loads(resumed.read_text())["checkpoint"]
+        ck_whole = json.loads(whole.read_text())["checkpoint"]
+        assert ck_whole["sweep_count"] == 300
         assert json.dumps(ck_resumed, sort_keys=True) == json.dumps(ck_whole, sort_keys=True)
 
     @pytest.mark.parametrize("override", [{"N": 9}, {"potential": {"b": 0.5, "alpha": 2.0, "beta": 1.0}}])

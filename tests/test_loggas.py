@@ -205,10 +205,23 @@ class TestMetropolisKernel:
         state = GasState.initial(pot, 6, seed=5)
         run_chain(state, pot, 5)
         blob = state.checkpoint(pot)
-        del blob["accept_count"], blob["proposal_count"]
+        assert (blob["window_accept"], blob["window_proposals"]) == (state.accept_count, 30)
+        del blob["accept_count"], blob["proposal_count"], blob["window_accept"], blob["window_proposals"]
         restored, _ = GasState.from_checkpoint(blob)
         assert (restored.accept_count, restored.proposal_count, restored.acceptance_rate) == (0, 0, 0.0)
+        assert (restored.window_accept, restored.window_proposals) == (0, 0)
         assert restored.sweep_count == 5 and np.array_equal(restored.lambdas, state.lambdas)
+
+    @pytest.mark.parametrize("split", [50, 150, 199])
+    def test_tuned_runs_split_anywhere_equal_one_run(self, split):
+        pot = Potential(b=0.25, alpha=2.0, beta=1.0)
+        whole = GasState.initial(pot, 16, seed=3)
+        run_chain(whole, pot, 300, tune=True)
+        parts = GasState.initial(pot, 16, seed=3)
+        run_chain(parts, pot, split, tune=True)
+        parts, _ = GasState.from_checkpoint(parts.checkpoint(pot))
+        run_chain(parts, pot, 300 - split, tune=True)
+        assert parts.checkpoint(pot) == whole.checkpoint(pot)
 
     @pytest.mark.parametrize("case", sorted(_GOLDEN_CHAINS), ids=lambda c: f"{c[0]}-N{c[1]}-tune{c[2]}")
     def test_chain_matches_recorded_bytes(self, case):
