@@ -83,6 +83,8 @@ def _trial_values(model, n: int, p: int, n_trials: int, seed: int, plant=None):
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
     root = math.sqrt(n)
     values = np.empty(n_trials)
     planted = logw = None
@@ -228,10 +230,14 @@ def rate_slope_scan(
     center).  Where the switch is possible, auto draws each trial once:
     one planted IS pass, whose unplanted hits (notes["naive_hits"]) give
     the naive estimate it keeps.  Rows where neither estimator is usable
-    come back flagged.
+    come back flagged.  Bad method, x or p raises ValueError.
     A trend summary needs at least 3 grid points; callers that only want
     per-n rows may pass min_points=1.
     """
+    if method not in ("auto", "naive", "planted_is"):
+        raise ValueError(f"method must be auto, naive or planted_is, got {method!r}")
+    if not math.isfinite(x) or not isinstance(p, (int, np.integer)) or p < 1:
+        raise ValueError(f"x must be finite and p an integer >= 1, got x={x}, p={p!r}")
     n_grid = [int(v) for v in n_grid]
     if len(n_grid) < min_points or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError(f"n_grid must be ascending with at least {min_points} points")
@@ -243,7 +249,7 @@ def rate_slope_scan(
         est = None
         if method == "naive" or (method == "auto" and not plantable):
             est = estimate_tail_naive(model, n, p, x, trials_per_n, seed=seed + idx)
-        elif method in ("auto", "planted_is") and plantable:
+        elif plantable:
             est = estimate_tail_planted_is(model, n, p, x, trials_per_n, seed=seed + idx)
             hits = est.notes["naive_hits"]
             if method == "auto" and hits >= 10:

@@ -1,8 +1,9 @@
 """Dense Hermitian/symmetric matrix container and spectral statistics.
 
-A HermMatrix is immutable: the constructor reads only the upper triangle,
-mirrors it with conjugates, and freezes the dense array, so Hermitian
-symmetry holds exactly and the spectrum can be cached.
+A HermMatrix is immutable: the public constructor validates, reads only the
+upper triangle, mirrors it with conjugates and freezes the dense array, so
+symmetry is exact and the spectrum can be cached.  Derived matrices (scaled,
+with_entry, +, ``wigner``) skip the mirror: same bits, finiteness checked.
 """
 
 from __future__ import annotations
@@ -58,9 +59,15 @@ class HermMatrix:
             upper = np.triu(arr)
             full = upper + np.conj(np.triu(upper, 1)).T
         full.flags.writeable = False
-        self._beta = beta
-        self._mat = full
-        self._spectrum = None
+        self._beta, self._mat, self._spectrum = beta, full, None
+
+    @classmethod
+    def _trusted(cls, beta: int, full: np.ndarray) -> "HermMatrix":
+        """Wrap an owned array as the constructor would leave it: no copy, no check."""
+        full.flags.writeable = False
+        obj = cls.__new__(cls)
+        obj._beta, obj._mat, obj._spectrum = beta, full, None
+        return obj
 
     @property
     def beta(self) -> int:
@@ -88,24 +95,37 @@ class HermMatrix:
     def with_entry(self, i: int, j: int, value) -> "HermMatrix":
         """New matrix with entry (i, j) replaced; (j, i) is set to the
         conjugate so symmetry cannot be broken."""
-        if i == j and np.iscomplexobj(np.asarray(value)) and np.imag(value) != 0:
-            raise ValueError("diagonal entries must be real")
-        if self._beta == 1 and np.iscomplexobj(np.asarray(value)) and np.imag(value) != 0:
-            raise ValueError("beta=1 entries must be real")
+        lo, hi = sorted((i % self.n, j % self.n))
+        if np.imag(value) != 0 and (lo == hi or self._beta == 1):
+            raise ValueError("diagonal entries must be real" if lo == hi else "beta=1 entries must be real")
         mat = self._mat.copy()
         mat[i, j] = value
         mat[j, i] = np.conj(value)
-        return HermMatrix(self._beta, mat)
+        # as the mirror writes them: 0 + conj(upper) below, then upper + conj(0)
+        u, zero = mat[lo, hi], mat.dtype.type(0)
+        if not np.isfinite(u):
+            raise ValueError("non-finite entries")
+        mat[hi, lo] = zero + np.conj(u)
+        mat[lo, hi] = u + np.conj(zero)
+        return HermMatrix._trusted(self._beta, mat)
 
     def scaled(self, factor: float) -> "HermMatrix":
-        return HermMatrix(self._beta, self._mat * float(factor))
+        """Trusted for factor > 0 (an entry that underflows to zero may keep a
+        sign the constructor clears); a factor <= 0 goes through the mirror."""
+        mat = self._mat * float(factor)
+        if factor > 0 and np.isfinite(mat).all():
+            return HermMatrix._trusted(self._beta, mat)
+        return HermMatrix(self._beta, mat)  # raises on non-finite entries
 
     def __add__(self, other: "HermMatrix") -> "HermMatrix":
         if not isinstance(other, HermMatrix):
             return NotImplemented
         if other.n != self.n:
             raise ValueError("dimension mismatch")
-        return HermMatrix(max(self._beta, other._beta), self._mat + other._mat)
+        total = self._mat + other._mat  # complex128 if either is
+        if not np.isfinite(total).all():
+            raise ValueError("non-finite entries")
+        return HermMatrix._trusted(max(self._beta, other._beta), total)
 
     def __repr__(self) -> str:
         return f"HermMatrix(beta={self._beta}, n={self.n})"

@@ -69,7 +69,8 @@ def assemble_wigner(n: int, source, rng: np.random.Generator) -> tuple[HermMatri
     """Draw one Wigner matrix; returns (raw, raw / sqrt(n))."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    raw = HermMatrix(source.beta, assemble_wigner_batch(source, n, [rng])[0])
+    # assembly adds the mirror's zeros; scaled rejects non-finite draws
+    raw = HermMatrix._trusted(source.beta, assemble_wigner_batch(source, n, [rng])[0])
     return raw, raw.scaled(1.0 / math.sqrt(n))
 
 
@@ -91,10 +92,8 @@ class TruncationSplit:
     p: int
 
     def total(self) -> HermMatrix:
-        return HermMatrix(
-            self.small.beta,
-            self.small.matrix + self.intermediate.matrix + self.deviation.matrix + self.huge.matrix,
-        )
+        summed = self.small.matrix + self.intermediate.matrix + self.deviation.matrix + self.huge.matrix
+        return HermMatrix._trusted(self.small.beta, summed)
 
 
 def truncation_split(
@@ -132,10 +131,10 @@ def truncation_split(
     m_dev = ~m_small & ~m_mid & (mag <= t3)
     m_huge = ~(m_small | m_mid | m_dev)
 
-    # multiply by the reciprocal so parts reassemble the normalized matrix
-    # bit-exactly (assemble_wigner scales the same way)
+    # times the reciprocal, as in assemble_wigner, so the parts sum to the
+    # normalized matrix bit-exactly; symmetric masks keep each part Hermitian
     scaled = raw.matrix * (1.0 / math.sqrt(n))
-    parts = [HermMatrix(raw.beta, np.where(m, scaled, 0.0)) for m in (m_small, m_mid, m_dev, m_huge)]
+    parts = [HermMatrix._trusted(raw.beta, np.where(m, scaled, 0.0)) for m in (m_small, m_mid, m_dev, m_huge)]
     return TruncationSplit(*parts, eps=float(eps), d=float(d), p=int(p))
 
 

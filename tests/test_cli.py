@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -140,6 +141,19 @@ class TestDeviationsCommand:
         assert code == 2
         assert "n_trials must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"method": "bogus"}, "method must be auto, naive or planted_is"),
+        ({"n_grid": [1], "x": 3.0, "method": "auto", "model": {"kind": "gaussian", "sigma2": 1.0, "beta": 1}},
+         "n must be >= 2"),
+        ({"n_grid": [1], "x": 3.0, "method": "auto"}, "n must be >= 2"),
+        ({"p": 0}, "x must be finite and p an integer >= 1"),
+        ({"x": "nan"}, "x must be finite and p an integer >= 1"),
+    ], ids=["method", "offdiag_n1", "diag_n1", "p0", "x_nan"])
+    def test_bad_input_exit_2(self, tmp_path, capsys, bad, message):
+        code, _ = run_cli(tmp_path, "deviations", dict(self.CFG, **bad))
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_flagged_rows_exit_4(self, tmp_path):
         cfg = dict(self.CFG, x=50.0, trials=50)  # unreachable: zero hits everywhere
         code, out = run_cli(tmp_path, "deviations", cfg)
@@ -218,6 +232,17 @@ class TestSampleCommand:
         assert code == 0
         lines = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
         assert len(lines) == 17
+
+    @pytest.mark.parametrize("beta, sha256", [
+        (1, "206a0cbdb93cdd87cef7703bbf5ad1c6f10d4acd413b5a105cfe3244e15a18c2"),
+        (2, "6577d11a8980a99705f3922ca20f9eea4e53bc059302dc6aeebb72501be67833"),
+    ])
+    def test_wigner_artifact_bytes(self, tmp_path, beta, sha256):
+        # recorded before derived matrices skipped the constructor's re-mirror
+        cfg = {"what": "wigner", "model": {"kind": "gaussian", "sigma2": 1.0, "beta": beta}, "n": 64}
+        code, out = run_cli(tmp_path, "sample", cfg, seed=5)
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 class TestCalibrateCommand:

@@ -14,11 +14,11 @@ from rmtldp.devlab import (
     rate_slope_scan,
 )
 from rmtldp import devlab, randsrc
-from rmtldp.matcore import normalized_trace_power
+from rmtldp.matcore import HermMatrix, normalized_trace_power
 from rmtldp.randsrc import GaussianProfile, TailProfile
 from rmtldp.rates import semicircle_moment
 from rmtldp.rng import stream
-from rmtldp.wigner import assemble_wigner, assemble_wigner_batch
+from rmtldp.wigner import PlantSpec, assemble_wigner, assemble_wigner_batch, plant_deformation, truncation_split
 
 
 GAUSS2 = GaussianProfile(sigma2=1.0, beta=2)
@@ -135,6 +135,26 @@ class TestInputEdges:
     def test_zero_trials_rejected(self, estimator):
         with pytest.raises(ValueError, match="n_trials must be >= 1"):
             estimator(GAUSS2, 8, 4, 3.0, 0)
+
+    @pytest.mark.parametrize("estimator", [estimate_tail_naive, estimate_tail_planted_is])
+    @pytest.mark.parametrize("prof", [GaussianProfile(sigma2=1.0, beta=1), GAUSS2], ids=["offdiag", "diag"])
+    def test_one_by_one_rejected(self, estimator, prof):
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            estimator(prof, 1, 4, 3.0, 10)
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            rate_slope_scan(prof, 4, 3.0, [1], 10, min_points=1)
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"method": "bogus"}, "method must be auto, naive or planted_is"),
+        ({"x": math.nan}, "x must be finite and p an integer >= 1"),
+        ({"x": math.inf}, "x must be finite and p an integer >= 1"),
+        ({"p": 0}, "x must be finite and p an integer >= 1"),
+        ({"p": 4.0}, "x must be finite and p an integer >= 1"),
+    ])
+    def test_scan_rejects_bad_input(self, bad, message):
+        args = dict(dict(p=4, x=3.0, n_grid=[8], trials_per_n=10, min_points=1), **bad)
+        with pytest.raises(ValueError, match=message):
+            rate_slope_scan(GAUSS2, **args)
 
     def test_one_trial_has_no_weight_error_estimate(self):
         prof = TailProfile.with_feasible_t0(1.0, 1.5, 1.0)
@@ -347,6 +367,45 @@ def _golden_digests(key: str) -> tuple[str, str, str]:
     return _digest(naive), _digest(planted), _digest(mats)
 
 
+
+def _matrix_digest(mats) -> str:
+    return _digest([(m.beta, m.matrix.dtype.str, m.matrix.tobytes()) for m in mats])
+
+
+def _derived_matrix_digests(key: str) -> tuple[str, ...]:
+    """Per n in (2, 3, 17, 64): digest of one assemble_wigner draw and every
+    matrix derived from it (sum, scaling, both plants, the truncation parts
+    and their total)."""
+    prof = _golden_profile(key)
+    out = []
+    for n in (2, 3, 17, 64):
+        raw, xn = assemble_wigner(n, prof, stream(16, n))
+        mats = [raw, xn, xn + raw, xn.scaled(0.37)]
+        mats += [plant_deformation(xn, PlantSpec(shape, 1.0, 4)) for shape in ("diag_spike", "offdiag_pair")]
+        if n >= 3:
+            split = truncation_split(raw, 4, eps=0.1, d=0.5)
+            mats += [split.small, split.intermediate, split.deviation, split.huge, split.total()]
+        out.append(_matrix_digest(mats))
+    return tuple(out)
+
+
+def _exact_zero_digest() -> str:
+    """zeros/identity of both classes, written with signed zeros, summed and
+    scaled by positive, zero and negative factors."""
+    mats = []
+    for beta in (1, 2):
+        values = [0.0, -0.0] + ([complex(0.0, -0.0), complex(-0.0, -0.0), complex(1.0, -0.0)] if beta == 2 else [])
+        for base in (HermMatrix.zeros(3, beta), HermMatrix.identity(3, beta)):
+            mats.append(base)
+            for i, j in ((0, 0), (0, 1), (1, 0), (2, 2)):
+                mats += [base.with_entry(i, j, v) for v in values if i != j or v.imag == 0]
+            mats += [base + base, base + HermMatrix.identity(3, 1)]
+            mats += [base.scaled(f) for f in (0.37, 1.0, 0.0, -0.0, -1.0, -2.5)]
+    raw, xn = assemble_wigner(17, GaussianProfile(sigma2=1.0, beta=2), stream(16, 17))
+    mats += [(xn + raw).scaled(f) for f in (-2.5, -1.0, 0.0)]
+    return _matrix_digest(mats)
+
+
 class TestGoldenBytes:
     """Estimates, scan rows, assembled matrices and probe rows recorded from
     the code before the entry laws moved behind the profile interface; any
@@ -371,9 +430,36 @@ class TestGoldenBytes:
         "tail_uniform_s1_b2_alpha1.5": ("ece0d956bd1f516f", "529cdb0815879771", "a701f84184fcee14"),
     }
 
+    # recorded before derived matrices skipped the constructor's re-mirror
+    DERIVED = {
+        "gauss_0.25_1": ("556de88475c0f733", "10a7170d654e639e", "1883e156a90d00ee", "be3e57618baea721"),
+        "gauss_0.25_2": ("0c2065680d389e0b", "0b1fd0d76b1d9eb8", "5ae225f39745df6e", "a9fe672037b7a511"),
+        "gauss_1_1": ("f4d0369c8965d74e", "763c001cc3a260ce", "7ac81fc0ef9cb826", "dbda2612fba6ff9c"),
+        "gauss_1_2": ("bf7ef3e5f3f60e18", "1e9b83ed2073153b", "1431f36c41c28a1b", "26bd179003cf0e70"),
+        "tail_rademacher_b1_alpha0.5": ("f7b9e35366d27a34", "d792a5ab37a714f6", "0c20daea3b64f121", "d60ce74e3c49c5bc"),
+        "tail_rademacher_b1_alpha1": ("e954e67370f7e686", "edfc8dcd457ecec5", "f12ba67e18d0d037", "0d952cb02d5941df"),
+        "tail_rademacher_b1_alpha1.5": ("c6a1d9828c8b21cd", "034b10274a49d6e3", "0d274cddeab888d3", "4a66cbf12ea98a78"),
+        "tail_rademacher_b2_alpha0.5": ("f7b9e35366d27a34", "d792a5ab37a714f6", "0c20daea3b64f121", "d60ce74e3c49c5bc"),
+        "tail_rademacher_b2_alpha1": ("e954e67370f7e686", "edfc8dcd457ecec5", "09dbb82b35d5d3cb", "ae3b454f81d4d741"),
+        "tail_rademacher_b2_alpha1.5": ("c6a1d9828c8b21cd", "034b10274a49d6e3", "37a4da62f8becff5", "4d7c0ffa1073f74d"),
+        "tail_uniform_s1_b1_alpha0.5": ("487df040b17a4779", "c8305d68f2980287", "2e405dcd2d8f3b9a", "66de38fd276e6fb2"),
+        "tail_uniform_s1_b1_alpha1": ("e60138a27c0f9583", "f8c6d3079111bafa", "816ad38901ef6b8f", "6cbe2f8e43b5000d"),
+        "tail_uniform_s1_b1_alpha1.5": ("fe493ee944785177", "e2608471265052d5", "cc7c2fe23028e87d", "9abe84a1cb6a8016"),
+        "tail_uniform_s1_b2_alpha0.5": ("487df040b17a4779", "c8305d68f2980287", "2e405dcd2d8f3b9a", "66de38fd276e6fb2"),
+        "tail_uniform_s1_b2_alpha1": ("e60138a27c0f9583", "f8c6d3079111bafa", "239140fa26ecec46", "2464ab5a018c1731"),
+        "tail_uniform_s1_b2_alpha1.5": ("fe493ee944785177", "e2608471265052d5", "f81ca7da19e24602", "439518e6880419a3"),
+    }
+
     @pytest.mark.parametrize("key", sorted(DIGESTS))
     def test_estimates_and_matrices(self, key):
         assert _golden_digests(key) == self.DIGESTS[key]
+
+    @pytest.mark.parametrize("key", sorted(DERIVED))
+    def test_derived_matrices(self, key):
+        assert _derived_matrix_digests(key) == self.DERIVED[key]
+
+    def test_exact_zero_matrices(self):
+        assert _exact_zero_digest() == "608d14aec99a7c3c"
 
     def test_scan_rows(self):
         gauss = rate_slope_scan(_golden_profile("gauss_1_2"), 4, 3.0, [6, 8], 300, seed=14, min_points=1)

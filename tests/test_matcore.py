@@ -100,6 +100,70 @@ class TestConstruction:
         assert A.matrix[2, 0] == 1 - 2j
         with pytest.raises(ValueError):
             A.with_entry(1, 1, 1j)
+        with pytest.raises(ValueError, match="diagonal"):
+            A.with_entry(-1, 3, 1j)
+
+
+def _constructor_with_entry(A, i, j, value):
+    mat = A.matrix.copy()
+    mat[i, j] = value
+    mat[j, i] = np.conj(value)
+    return HermMatrix(A.beta, mat)
+
+
+class TestDerivedMatrices:
+    """scaled, with_entry and + skip the constructor, not its checks or bits."""
+
+    TEN = HermMatrix.identity(3).with_entry(0, 1, 10.0)
+
+    @pytest.mark.parametrize("factor", [np.nan, np.inf, 1e308])
+    def test_scaled_rejects_non_finite(self, factor):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            self.TEN.scaled(factor)
+
+    @pytest.mark.parametrize("i, j, value", [(0, 0, np.nan), (0, 1, np.inf), (2, 1, -np.inf)])
+    def test_with_entry_rejects_non_finite(self, i, j, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            self.TEN.with_entry(i, j, value)
+
+    def test_overflowing_sum_rejected(self):
+        big = self.TEN.scaled(1e307)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            big + big
+
+    def test_derived_arrays_read_only(self):
+        for A in (self.TEN, self.TEN.scaled(0.5), self.TEN + self.TEN, self.TEN.with_entry(2, 2, 1.0)):
+            with pytest.raises(ValueError):
+                A.matrix[0, 0] = 5.0
+
+    def test_spectrum_cache_not_inherited(self):
+        A = _goe(6, stream(106, 0))
+        lam = eigvals(A)
+        assert np.allclose(eigvals(A.scaled(2.0)), 2.0 * lam)
+        assert np.allclose(eigvals(A + A), 2.0 * lam)
+        assert not np.allclose(eigvals(A.with_entry(0, 0, 100.0)), lam)
+
+    @pytest.mark.parametrize("order", [(1, 2), (2, 1)])
+    def test_mixed_sum_is_complex_hermitian(self, order):
+        a, b = (_goe(4, stream(106, 1)) if beta == 1 else _gue(4, stream(106, 2)) for beta in order)
+        total = a + b
+        assert total.beta == 2 and total.matrix.dtype == np.complex128
+        assert np.array_equal(total.matrix, a.matrix + b.matrix)
+
+    @pytest.mark.parametrize("beta", [1, 2])
+    def test_same_bits_as_constructor(self, beta):
+        A = _goe(5, stream(106, 3)) if beta == 1 else _gue(5, stream(106, 4))
+        values = [0.0, -0.0, 2.5] + ([complex(0.0, -0.0), complex(-1.0, -0.0), 1 - 2j] if beta == 2 else [])
+        for i, j in ((0, 0), (0, 3), (3, 0), (-1, 1), (2, -5), (-2, -2)):
+            for v in values:
+                if (i - j) % 5 == 0 and np.imag(v) != 0:
+                    continue
+                assert A.with_entry(i, j, v).matrix.tobytes() == _constructor_with_entry(A, i, j, v).matrix.tobytes()
+        for f in (0.37, 2.0, 1.0, 0.0, -0.0, -2.5):
+            assert A.scaled(f).matrix.tobytes() == HermMatrix(beta, A.matrix * f).matrix.tobytes()
+        for B in (A, _goe(5, stream(106, 5)), _gue(5, stream(106, 6)).scaled(-1.0)):
+            expected = HermMatrix(max(A.beta, B.beta), A.matrix + B.matrix)
+            assert (A + B).matrix.tobytes() == expected.matrix.tobytes()
 
 
 class TestTracePower:

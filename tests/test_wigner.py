@@ -83,6 +83,23 @@ class TestAssemble:
         assert ks <= 0.05
 
 
+def test_assembly_and_plant_skip_the_public_constructor(monkeypatch):
+    calls = []
+    init = HermMatrix.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(HermMatrix, "__init__", counting_init)
+    _, xn = assemble_wigner(64, GaussianProfile(sigma2=1.0, beta=1), stream(17, 0))
+    for shape in ("diag_spike", "offdiag_pair"):
+        plant_deformation(xn, PlantSpec(shape, 1.0, 4))
+    assert calls == []
+    HermMatrix.identity(2)
+    assert calls == [1]  # the counter does see the public constructor
+
+
 class TestTruncationSplit:
     def test_single_band_when_all_small(self):
         rng = stream(202, 0)
