@@ -32,9 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .matcore import trace_powers
 from .rates import rate_value, semicircle_moment
 from .rng import stream
-from .stats import DeviationEstimate, wilson_interval
+from .stats import DeviationEstimate, binomial_estimate
 from .wigner import assemble_hermitian, assemble_wigner_batch as _dense_trial_matrix, triangle_layout
 
 __all__ = [
@@ -50,19 +51,7 @@ _CHUNK = 256
 
 
 def _normalized_trace_powers(mats: np.ndarray, p: int) -> np.ndarray:
-    n = mats.shape[-1]
-    if p % 2 == 0:
-        # tr M^p = ||M^(p/2)||_F^2 for Hermitian M; batched matmul beats eigh
-        half, base, acc = p // 2, mats, None
-        while half:
-            if half & 1:
-                acc = base if acc is None else acc @ base
-            half >>= 1
-            if half:
-                base = base @ base
-        return np.sum(np.abs(acc) ** 2, axis=(-2, -1)) / n
-    lam = np.linalg.eigvalsh(mats)
-    return np.sum(lam ** p, axis=-1) / n
+    return trace_powers(mats, p) / mats.shape[-1]
 
 
 def _batches(n_trials: int, *path: int):
@@ -104,17 +93,6 @@ def _trial_values(model, n: int, p: int, n_trials: int, seed: int, plant=None):
     return values, planted, logw
 
 
-def _naive_estimate(model, n: int, p: int, x: float, hits: int, n_trials: int) -> DeviationEstimate:
-    p_hat = hits / n_trials
-    lo, hi = wilson_interval(hits, n_trials)
-    se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n_trials)
-    slope = -math.log(p_hat) / n ** model.speed(p) if 0.0 < p_hat else None
-    return DeviationEstimate(
-        n=n, x=float(x), p_hat=p_hat, stderr=se, n_trials=n_trials, method="naive",
-        slope=slope, ci_low=lo, ci_high=hi, hits=hits, flagged=hits == 0,
-    )
-
-
 def estimate_tail_naive(
     model,
     n: int,
@@ -125,7 +103,8 @@ def estimate_tail_naive(
 ) -> DeviationEstimate:
     """Frequency of {tr_n X_n**p >= x} over independent draws."""
     values, _, _ = _trial_values(model, n, p, n_trials, seed)
-    return _naive_estimate(model, n, p, x, int(np.count_nonzero(values >= x)), n_trials)
+    hits = int(np.count_nonzero(values >= x))
+    return binomial_estimate(n, x, hits, n_trials, model.speed(p), "naive")
 
 
 def estimate_tail_planted_is(
@@ -229,8 +208,9 @@ def rate_slope_scan(
     switches to planted importance sampling otherwise (even p above the
     center).  Where the switch is possible, auto draws each trial once:
     one planted IS pass, whose unplanted hits (notes["naive_hits"]) give
-    the naive estimate it keeps.  Rows where neither estimator is usable
-    come back flagged.  Bad method, x or p raises ValueError.
+    the naive estimate it keeps.  Rows without hits come back flagged.
+    Bad method, x or p raises ValueError, as does planted_is where it is
+    impossible (odd p, or x at or below the center).
     A trend summary needs at least 3 grid points; callers that only want
     per-n rows may pass min_points=1.
     """
@@ -244,18 +224,20 @@ def rate_slope_scan(
     speed = model.speed(p)
     center = semicircle_moment(p)
     plantable = p % 2 == 0 and x > center
+    if method == "planted_is" and not plantable:
+        why = f"p={p} is odd" if p % 2 else f"x={x} is not above the center {center}"
+        raise ValueError(f"planted_is is impossible here: {why}")
     rows = []
     for idx, n in enumerate(n_grid):
-        est = None
-        if method == "naive" or (method == "auto" and not plantable):
+        if method == "naive" or not plantable:
             est = estimate_tail_naive(model, n, p, x, trials_per_n, seed=seed + idx)
-        elif plantable:
+        else:
             est = estimate_tail_planted_is(model, n, p, x, trials_per_n, seed=seed + idx)
             hits = est.notes["naive_hits"]
             if method == "auto" and hits >= 10:
-                est = _naive_estimate(model, n, p, x, hits, trials_per_n)
-        if est is None or est.p_hat <= 0.0:
-            rows.append(ScanRow(n, None, math.inf, math.inf, 0.0, est.method if est else "none", True))
+                est = binomial_estimate(n, x, hits, trials_per_n, speed, "naive")
+        if est.p_hat <= 0.0:
+            rows.append(ScanRow(n, None, math.inf, math.inf, 0.0, est.method, True))
             continue
         lo, hi = est.slope_interval(speed)
         rows.append(ScanRow(n, est.slope, lo, hi, est.p_hat, est.method, est.flagged, est.ess, est.stderr))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import stream
-from .stats import DeviationEstimate, batch_mean_stderr, geweke_z, wilson_interval
+from .stats import DeviationEstimate, batch_mean_stderr, binomial_estimate, geweke_z
 
 __all__ = [
     "Potential",
@@ -438,15 +438,7 @@ def iid_truncated_tail(
     stat = draws ** p
     vals = stat.sum(axis=1) / N
     hits = int(np.count_nonzero(vals >= x))
-    p_hat = hits / n_trials
-    lo, hi = wilson_interval(hits, n_trials)
-    se = math.sqrt(max(p_hat * (1 - p_hat), 0.0) / n_trials)
-    speed = 1.0 + potential.alpha / p
-    slope = -math.log(p_hat) / N ** speed if p_hat > 0 else None
-    return DeviationEstimate(
-        n=N, x=x, p_hat=p_hat, stderr=se, n_trials=n_trials, method="iid_oracle",
-        slope=slope, ci_low=lo, ci_high=hi, hits=hits, flagged=hits == 0,
-    )
+    return binomial_estimate(N, x, hits, n_trials, 1.0 + potential.alpha / p, "iid_oracle")
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ __all__ = [
     "HermMatrix",
     "eigvals",
     "eigh_diagnostic",
+    "trace_powers",
     "trace_power",
     "normalized_trace_power",
     "schatten_norm",
@@ -112,7 +113,8 @@ class HermMatrix:
     def scaled(self, factor: float) -> "HermMatrix":
         """Trusted for factor > 0 (an entry that underflows to zero may keep a
         sign the constructor clears); a factor <= 0 goes through the mirror."""
-        mat = self._mat * float(factor)
+        with np.errstate(over="ignore", invalid="ignore"):  # the checks below raise
+            mat = self._mat * float(factor)
         if factor > 0 and np.isfinite(mat).all():
             return HermMatrix._trusted(self._beta, mat)
         return HermMatrix(self._beta, mat)  # raises on non-finite entries
@@ -122,7 +124,8 @@ class HermMatrix:
             return NotImplemented
         if other.n != self.n:
             raise ValueError("dimension mismatch")
-        total = self._mat + other._mat  # complex128 if either is
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below raises
+            total = self._mat + other._mat  # complex128 if either is
         if not np.isfinite(total).all():
             raise ValueError("non-finite entries")
         return HermMatrix._trusted(max(self._beta, other._beta), total)
@@ -148,12 +151,31 @@ def eigh_diagnostic(A: HermMatrix) -> tuple[np.ndarray, np.ndarray, float]:
     return w, q, resid
 
 
-def trace_power(A: HermMatrix, p: int) -> float:
-    """Trace of A**p computed from the spectrum."""
+def trace_powers(mats: np.ndarray, p: int) -> np.ndarray:
+    """tr M**p of every Hermitian matrix in a (..., n, n) stack.
+
+    Even p: ||M**(p/2)||_F**2 by repeated squaring (a batched matmul beats
+    eigh); odd p: the sum of eigenvalue powers.  The input is never written.
+    """
     if not isinstance(p, (int, np.integer)) or p < 1:
         raise ValueError(f"p must be a positive integer, got {p!r}")
-    lam = eigvals(A)
-    return float(np.sum(lam ** p))
+    if p % 2:
+        return np.sum(np.linalg.eigvalsh(mats) ** p, axis=-1)
+    half, base, acc = p // 2, mats, None
+    while half:
+        if half & 1:
+            acc = base if acc is None else acc @ base
+        half >>= 1
+        if half:
+            base = base @ base
+    if acc is mats or np.iscomplexobj(acc):
+        acc = np.abs(acc)  # a real product is squared in place, never the input
+    return np.sum(np.square(acc, out=acc), axis=(-2, -1))
+
+
+def trace_power(A: HermMatrix, p: int) -> float:
+    """Trace of A**p."""
+    return float(trace_powers(A.matrix, p))
 
 
 def normalized_trace_power(A: HermMatrix, p: int) -> float:

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .matcore import HermMatrix, trace_power, normalized_trace_power
+from .matcore import HermMatrix, trace_power, trace_powers, normalized_trace_power
 
 __all__ = [
     "catalan",
@@ -225,7 +225,7 @@ def linearization_gap(X_N: HermMatrix, H: np.ndarray, p: int) -> float:
     big = np.array(X_N.matrix, dtype=complex if beta == 2 else float)
     big[:d, :d] += float(n) ** (1.0 / p) * H
     shifted = HermMatrix(beta, big)
-    tr_h_p = float(np.sum(np.linalg.eigvalsh(H) ** p)) if d else 0.0
+    tr_h_p = float(trace_powers(H, p)) if d else 0.0
     return abs(normalized_trace_power(shifted, p) - semicircle_moment(p) - tr_h_p)
 
 

@@ -12,6 +12,7 @@ __all__ = [
     "batch_mean_stderr",
     "geweke_z",
     "DeviationEstimate",
+    "binomial_estimate",
 ]
 
 
@@ -82,3 +83,16 @@ class DeviationEstimate:
         lo = -math.log(self.ci_high) / scale if self.ci_high > 0 else math.inf
         hi = -math.log(self.ci_low) / scale if self.ci_low > 0 else math.inf
         return lo, hi
+
+
+def binomial_estimate(n: int, x: float, hits: int, n_trials: int, speed: float, method: str) -> DeviationEstimate:
+    """Exceedance frequency hits / n_trials with its Wilson interval, binomial
+    standard error and slope -log p_hat / n**speed; flagged without hits."""
+    p_hat = hits / n_trials
+    lo, hi = wilson_interval(hits, n_trials)
+    se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n_trials)
+    slope = -math.log(p_hat) / n ** speed if p_hat > 0 else None
+    return DeviationEstimate(
+        n=n, x=float(x), p_hat=p_hat, stderr=se, n_trials=n_trials, method=method,
+        slope=slope, ci_low=lo, ci_high=hi, hits=hits, flagged=hits == 0,
+    )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import HermMatrix, eigvals
+from .matcore import HermMatrix, eigvals, trace_powers
 from .rng import stream
 
 __all__ = [
@@ -60,15 +60,8 @@ class SparseHermCandidate:
     constraint: float
 
     def matrix(self) -> HermMatrix:
-        mat = np.zeros((self.n, self.n))
-        for i, j, v in self.support:
-            mat[i, j] = v
-            mat[j, i] = v
-        return HermMatrix(1, mat)
-
-
-def _trace_power_sym(mat: np.ndarray, p: int) -> float:
-    return float(np.sum(np.linalg.eigvalsh(mat) ** p))
+        support, values = [(i, j) for i, j, _ in self.support], [v for *_, v in self.support]
+        return HermMatrix(1, _assemble(support, values, self.n))
 
 
 def _support_cost(support, values, a, b, alpha) -> float:
@@ -165,7 +158,6 @@ def solve_rate_constant(
     n_max: int = 6,
     budget: int = 64,
     seed: int = 0,
-    phase_support: str = "full",
 ) -> CpResult:
     """Minimize I(A) subject to tr A**p = 1 over sparse Hermitian A.
 
@@ -182,11 +174,6 @@ def solve_rate_constant(
         raise ValueError(f"alpha must be in (0, 2), got {alpha}")
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    if phase_support != "full":
-        raise NotImplementedError(
-            "restricted phase supports for the constraint set are not supported; "
-            "only the full-support form is exposed"
-        )
 
     even = p % 2 == 0
     best_cost = math.inf
@@ -196,7 +183,7 @@ def solve_rate_constant(
     def consider(support, values, n):
         nonlocal best_cost, best_support, best_n
         cost = _support_cost(support, values, a, b, alpha)
-        t = _trace_power_sym(_assemble(support, values, n), p)
+        t = trace_powers(_assemble(support, values, n), p)
         if abs(t - 1.0) > 1e-9:
             return
         if cost < best_cost:
@@ -212,7 +199,7 @@ def solve_rate_constant(
         if 0 < len(keep) < len(values):
             sub_support = [support[k] for k in keep]
             sub_values = np.asarray([values[k] for k in keep])
-            t = _trace_power_sym(_assemble(sub_support, sub_values, n), p)
+            t = trace_powers(_assemble(sub_support, sub_values, n), p)
             if t > 0:
                 consider(sub_support, sub_values / t ** (1.0 / p), n)
 
@@ -233,7 +220,7 @@ def solve_rate_constant(
         pick = rng.choice(len(pool), size=size, replace=False)
         support = [pool[idx] for idx in pick]
         values = rng.standard_normal(size)
-        if not even and _trace_power_sym(_assemble(support, values, n), p) <= 0:
+        if not even and trace_powers(_assemble(support, values, n), p) <= 0:
             continue  # odd p: nonpositive trace power cannot be rescaled
         res = _descend(support, values, n, p, a, b, alpha)
         if res is None:

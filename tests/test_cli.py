@@ -148,7 +148,9 @@ class TestDeviationsCommand:
         ({"n_grid": [1], "x": 3.0, "method": "auto"}, "n must be >= 2"),
         ({"p": 0}, "x must be finite and p an integer >= 1"),
         ({"x": "nan"}, "x must be finite and p an integer >= 1"),
-    ], ids=["method", "offdiag_n1", "diag_n1", "p0", "x_nan"])
+        ({"p": 3, "x": 3.0, "method": "planted_is"}, "planted_is is impossible here: p=3 is odd"),
+        ({"x": 2.0, "method": "planted_is"}, "planted_is is impossible here: x=2.0 is not above the center"),
+    ], ids=["method", "offdiag_n1", "diag_n1", "p0", "x_nan", "is_odd_p", "is_x_at_center"])
     def test_bad_input_exit_2(self, tmp_path, capsys, bad, message):
         code, _ = run_cli(tmp_path, "deviations", dict(self.CFG, **bad))
         assert code == 2

@@ -150,6 +150,8 @@ class TestInputEdges:
         ({"x": math.inf}, "x must be finite and p an integer >= 1"),
         ({"p": 0}, "x must be finite and p an integer >= 1"),
         ({"p": 4.0}, "x must be finite and p an integer >= 1"),
+        ({"p": 3, "method": "planted_is"}, "planted_is is impossible here: p=3 is odd"),
+        ({"x": 2.0, "method": "planted_is"}, "planted_is is impossible here: x=2.0 is not above the center"),
     ])
     def test_scan_rejects_bad_input(self, bad, message):
         args = dict(dict(p=4, x=3.0, n_grid=[8], trials_per_n=10, min_points=1), **bad)

@@ -13,8 +13,11 @@ from rmtldp.matcore import (
     opnorm,
     schatten_norm,
     trace_power,
+    trace_powers,
 )
+from rmtldp.randsrc import GaussianProfile
 from rmtldp.rng import stream
+from rmtldp.wigner import PlantSpec, assemble_wigner, plant_deformation
 
 
 def _goe(n, rng):
@@ -118,7 +121,7 @@ class TestDerivedMatrices:
 
     @pytest.mark.parametrize("factor", [np.nan, np.inf, 1e308])
     def test_scaled_rejects_non_finite(self, factor):
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="non-finite"):
             self.TEN.scaled(factor)
 
     @pytest.mark.parametrize("i, j, value", [(0, 0, np.nan), (0, 1, np.inf), (2, 1, -np.inf)])
@@ -128,7 +131,7 @@ class TestDerivedMatrices:
 
     def test_overflowing_sum_rejected(self):
         big = self.TEN.scaled(1e307)
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="non-finite"):
             big + big
 
     def test_derived_arrays_read_only(self):
@@ -197,6 +200,47 @@ class TestTracePower:
         assert normalized_trace_power(HermMatrix.identity(4), 2) == 1.0
         assert normalized_trace_power(HermMatrix.zeros(5), 3) == 0.0
         assert normalized_trace_power(HermMatrix(1, [[0, 1], [1, 0]]), 2) == pytest.approx(1.0)
+
+
+class TestTracePowers:
+    """The one trace-power path: stacks and single matrices, every p."""
+
+    @pytest.mark.parametrize("n", [1, 2, 17])
+    @pytest.mark.parametrize("beta", [1, 2])
+    def test_matches_eigenvalue_power_sums(self, beta, n):
+        rng = stream(107, beta, n)
+        mats = np.stack([(_goe if beta == 1 else _gue)(n, rng).matrix for _ in range(4)])
+        for p in range(1, 9):
+            ref = [float(np.sum(np.linalg.eigvalsh(m) ** p)) for m in mats]
+            stacked = trace_powers(mats, p)
+            assert stacked.shape == (4,)
+            for k, m in enumerate(mats):
+                scale = float(np.sum(np.abs(np.linalg.eigvalsh(m)) ** p))  # odd p may cancel
+                assert abs(stacked[k] - ref[k]) <= 1e-12 * scale
+                assert abs(trace_powers(m, p) - ref[k]) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 7, 8])
+    @pytest.mark.parametrize("draw", [_goe, _gue])
+    def test_input_never_written(self, draw, p):
+        frozen = np.stack([draw(5, stream(107, 3, k)).matrix for k in range(3)])
+        frozen.flags.writeable = False
+        writable = frozen.copy()  # a write here would go through and show
+        before = frozen.tobytes()
+        for mats in (frozen, frozen[0], writable, writable[1]):
+            trace_powers(mats, p)
+        assert frozen.tobytes() == before and writable.tobytes() == before
+
+    def test_planted_spike_matches_frobenius(self):
+        n = 1024
+        _, xn = assemble_wigner(n, GaussianProfile(1.0, 1), stream(801))
+        mat = plant_deformation(xn, PlantSpec("diag_spike", 1.0, 4)).matrix
+        sq = mat @ mat
+        assert float(trace_powers(mat, 4)) == pytest.approx(float(np.sum(sq * sq)), rel=1e-12)
+
+    def test_p_validation(self):
+        for p in (0, -2, 2.0):
+            with pytest.raises(ValueError, match="positive integer"):
+                trace_powers(np.eye(3), p)
 
 
 class TestNorms:

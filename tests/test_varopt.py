@@ -88,10 +88,6 @@ class TestSolve:
             A = HermMatrix(2, m / t ** (1.0 / p))
             assert cost_I(A, a, b, alpha) >= res.value - 1e-9
 
-    def test_restricted_phase_support_rejected(self):
-        with pytest.raises(NotImplementedError):
-            solve_rate_constant(1.0, 1.0, 1.0, 4, phase_support="single_phase")
-
     def test_validation(self):
         with pytest.raises(ValueError):
             solve_rate_constant(1.0, 1.0, 1.0, 2)
