@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .matcore import trace_powers, tridiagonal_eigvals
 from .rng import stream
 from .stats import DeviationEstimate, batch_mean_stderr, binomial_estimate, geweke_z
 
@@ -30,6 +31,7 @@ __all__ = [
     "log_accept_probability",
     "mcmc_sweep",
     "run_chain",
+    "draw_tridiagonal",
     "sample_beta_hermite",
     "moment",
     "truncated_moment",
@@ -269,37 +271,32 @@ def run_chain(
     return state
 
 
-# dense tridiagonal matrices per eigvalsh call: a bounded stack, never one
-# (n_samples, N, N) array
-_HERMITE_BLOCK = 64
+def draw_tridiagonal(beta: float, N: int, count: int, rng: np.random.Generator):
+    """Diagonals a (count, N) and off-diagonals b (count, N - 1) of count
+    Dumitriu-Edelman matrices T: a_i = sqrt(2) N(0, 1) and
+    b_i = sqrt(chi2_{beta (N - i)}), i = 1..N-1, every normal drawn before
+    any chi2.  The eigenvalues of T have joint density proportional to
+    prod |m_i - m_j|**beta exp(-sum m_i**2 / 4) for any real beta > 0
+    (Dumitriu & Edelman, J. Math. Phys. 2002)."""
+    if N < 2:
+        raise ValueError("N must be >= 2")
+    a = math.sqrt(2.0) * rng.standard_normal((count, N))
+    b = np.sqrt(rng.chisquare(beta * np.arange(N - 1, 0, -1.0), size=(count, N - 1)))
+    return a, b
 
 
 def sample_beta_hermite(potential: Potential, N: int, n_samples: int, rng: np.random.Generator) -> np.ndarray:
     """n_samples iid configurations of the gas V = b x**2, shape (n_samples, N),
     each row ascending.
 
-    Dumitriu-Edelman: the tridiagonal T with diagonal sqrt(2) N(0, 1) and
-    off-diagonal sqrt(chi2_{beta (N - i)}), i = 1..N-1, has joint eigenvalue
-    density proportional to prod |m_i - m_j|**beta exp(-sum m_i**2 / 4), so
+    The eigenvalues of the tridiagonal T of draw_tridiagonal, scaled:
     lambda = eig(T) / sqrt(4 N b).  All entries are drawn before any
     eigenvalue is taken, so the draws do not depend on the block size.
     """
     if not potential.is_beta_hermite:
         raise ValueError("the beta-Hermite draw needs alpha == 2 and no remainder")
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    diag = math.sqrt(2.0) * rng.standard_normal((n_samples, N))
-    off = np.sqrt(rng.chisquare(potential.beta * np.arange(N - 1, 0, -1.0), size=(n_samples, N - 1)))
-    lam = np.empty((n_samples, N))
-    block = np.zeros((min(_HERMITE_BLOCK, n_samples), N, N))
-    d_idx = np.arange(N)
-    for start in range(0, n_samples, _HERMITE_BLOCK):
-        stop = min(start + _HERMITE_BLOCK, n_samples)
-        t = block[: stop - start]
-        t[:, d_idx, d_idx] = diag[start:stop]
-        t[:, d_idx[1:], d_idx[:-1]] = off[start:stop]  # eigvalsh reads the lower triangle
-        lam[start:stop] = np.linalg.eigvalsh(t)
-    return lam / math.sqrt(4.0 * N * potential.b)
+    a, b = draw_tridiagonal(potential.beta, N, n_samples, rng)
+    return tridiagonal_eigvals(a, b) / math.sqrt(4.0 * N * potential.b)
 
 
 def moment(lambdas, p: int) -> float:
@@ -353,20 +350,25 @@ def estimate_equilibrium_moment(
     """Monte Carlo estimate of the equilibrium measure's p-th moment from
     n_samples values of the empirical moment (1/N) sum lambda_i**p.
 
-    When potential.is_beta_hermite the values come from iid exact draws of
-    sample_beta_hermite on stream (seed, 13), burn_in and thin are ignored,
-    and the standard error is the iid one, sample sd / sqrt(n_samples).
+    When potential.is_beta_hermite the values come from iid exact
+    Dumitriu-Edelman draws T on stream (seed, 13), the same draws
+    sample_beta_hermite makes there, as tr T**p / (N (4 N b)**(p/2)): for
+    even p without eigenvalues.  burn_in and thin are ignored, and the
+    standard error is the iid one, sample sd / sqrt(n_samples).
     Otherwise they are thinned samples of one tuned Metropolis chain
     (burn_in sweeps, then one sample every thin sweeps, thin defaulting to
     N) with batch-mean standard error.  On both paths a Geweke score beyond
     3 flags (never hides) a non-stationary sample series; `method` says
     which path ran.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     method = "beta_hermite" if potential.is_beta_hermite else "chain"
     if p == 0:
         return MomentEstimate(1.0, 0.0, 0.0, False, 0, method)
     if method == "beta_hermite":
-        samples = np.mean(sample_beta_hermite(potential, N, n_samples, stream(seed, 13)) ** p, axis=1)
+        tridiagonal = draw_tridiagonal(potential.beta, N, n_samples, stream(seed, 13))
+        samples = trace_powers(tridiagonal, p) / (N * (4.0 * N * potential.b) ** (p / 2))
         stderr = float(np.std(samples, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else math.inf
     else:
         if thin is None:

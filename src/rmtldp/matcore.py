@@ -14,6 +14,7 @@ __all__ = [
     "HermMatrix",
     "eigvals",
     "eigh_diagnostic",
+    "tridiagonal_eigvals",
     "trace_powers",
     "trace_power",
     "normalized_trace_power",
@@ -151,14 +152,76 @@ def eigh_diagnostic(A: HermMatrix) -> tuple[np.ndarray, np.ndarray, float]:
     return w, q, resid
 
 
-def trace_powers(mats: np.ndarray, p: int) -> np.ndarray:
-    """tr M**p of every Hermitian matrix in a (..., n, n) stack.
+# dense tridiagonal matrices per eigvalsh call: a bounded stack, never one
+# (count, n, n) array
+_TRIDIAGONAL_BLOCK = 64
 
-    Even p: ||M**(p/2)||_F**2 by repeated squaring (a batched matmul beats
-    eigh); odd p: the sum of eigenvalue powers.  The input is never written.
+
+def tridiagonal_eigvals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of every real symmetric tridiagonal matrix in a
+    stack with diagonals a (..., n) and off-diagonals b (..., n - 1), by
+    dense eigvalsh on a bounded block of matrices at a time."""
+    n = a.shape[-1]
+    flat_a = a.reshape(-1, n)
+    flat_b = b.reshape(len(flat_a), n - 1)
+    lam = np.empty(flat_a.shape)
+    mats = np.zeros((min(_TRIDIAGONAL_BLOCK, len(flat_a)), n, n))
+    idx = np.arange(n)
+    for start in range(0, len(flat_a), _TRIDIAGONAL_BLOCK):
+        stop = min(start + _TRIDIAGONAL_BLOCK, len(flat_a))
+        t = mats[: stop - start]
+        t[:, idx, idx] = flat_a[start:stop]
+        t[:, idx[1:], idx[:-1]] = flat_b[start:stop]  # eigvalsh reads the lower triangle
+        lam[start:stop] = np.linalg.eigvalsh(t)
+    return lam.reshape(a.shape)
+
+
+def _band_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """X @ Y for stacks in band storage, x[..., k + d, i] = X[i, i + d] for
+    |d| <= k (zero where i + d falls outside the matrix); rows run along
+    the last axis, so every operation is over whole diagonals."""
+    n, kx, ky = x.shape[-1], x.shape[-2] // 2, y.shape[-2] // 2
+    k = kx + ky
+    out = np.zeros(x.shape[:-2] + (2 * k + 1, n))
+    for e in range(-min(kx, n - 1), min(kx, n - 1) + 1):  # |e| >= n leaves no row
+        lo, hi = max(0, -e), min(n, n - e)
+        out[..., k + e - ky : k + e + ky + 1, lo:hi] += x[..., kx + e, None, lo:hi] * y[..., :, lo + e : hi + e]
+    return out
+
+
+def _tridiagonal_trace_powers(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    if p % 2:
+        return np.sum(tridiagonal_eigvals(a, b) ** p, axis=-1)
+    band = np.zeros(a.shape[:-1] + (3, a.shape[-1]))
+    band[..., 0, 1:] = b
+    band[..., 1, :] = a
+    band[..., 2, :-1] = b
+    half, base, acc = p // 2, band, None
+    while half:
+        if half & 1:
+            acc = base if acc is None else _band_product(acc, base)
+        half >>= 1
+        if half:
+            base = _band_product(base, base)
+    return np.einsum("...ij,...ij->...", acc, acc)
+
+
+def trace_powers(mats, p: int) -> np.ndarray:
+    """tr M**p of every Hermitian matrix in a (..., n, n) stack, or of every
+    real symmetric tridiagonal matrix in a stack given as a pair (a, b) of
+    diagonals (..., n) and off-diagonals (..., n - 1).
+
+    Even p: ||M**(p/2)||_F**2 by repeated squaring, of a dense stack by a
+    batched matmul (which beats eigh), of a tridiagonal one in band storage
+    (O(n p**2) per matrix; p = 2 gives sum a**2 + 2 sum b**2, and p = 4
+    sum a**4 + 4 sum b_i**2 (a_i**2 + a_i a_(i+1) + a_(i+1)**2)
+    + 2 sum b**4 + 4 sum b_i**2 b_(i+1)**2).  Odd p: the sum of eigenvalue
+    powers.  The input is never written.
     """
     if not isinstance(p, (int, np.integer)) or p < 1:
         raise ValueError(f"p must be a positive integer, got {p!r}")
+    if isinstance(mats, tuple):
+        return _tridiagonal_trace_powers(*mats, p)
     if p % 2:
         return np.sum(np.linalg.eigvalsh(mats) ** p, axis=-1)
     half, base, acc = p // 2, mats, None

@@ -13,6 +13,7 @@ from rmtldp.loggas import (
     MomentEstimate,
     Potential,
     concentration_bound,
+    draw_tridiagonal,
     estimate_equilibrium_moment,
     iid_truncated_tail,
     lipschitz_concentration_probe,
@@ -26,11 +27,11 @@ from rmtldp.loggas import (
     sample_single_particle,
     truncated_moment,
 )
-from rmtldp.matcore import eigvals
+from rmtldp.matcore import eigvals, trace_powers
 from rmtldp.randsrc import GaussianProfile
 from rmtldp.rng import stream
 from rmtldp.stats import batch_mean_stderr, geweke_z
-from rmtldp.wigner import assemble_wigner
+from rmtldp.wigner import assemble_wigner, assemble_wigner_batch
 
 
 # sha256 of lambdas.tobytes(), accept_count, proposal_count and step after
@@ -356,14 +357,24 @@ class TestEquilibriumMoment:
         assert isinstance(res, MomentEstimate)
 
     def test_recorded_exact_estimate(self):
-        # beta-Hermite draws on stream (seed, 13); burn_in and thin are ignored
+        # beta-Hermite draws on stream (seed, 13); burn_in and thin are ignored.
+        # The moments are tridiagonal trace powers, equal to the eigenvalue
+        # moments of the same draws up to rounding.
         pot = Potential(b=0.25, alpha=2.0, beta=1.0)
         est = estimate_equilibrium_moment(pot, 4, 12, 60, seed=3, burn_in=300, thin=2)
-        assert est == MomentEstimate(2.38648370759519, 0.10078769093118205, 0.2738477312590712, False, 60,
+        assert est == MomentEstimate(2.3864837075951906, 0.100787690931182, 0.27384773125906897, False, 60,
                                      "beta_hermite")
         assert estimate_equilibrium_moment(pot, 4, 12, 60, seed=3, burn_in=0, thin=7) == est
         samples = np.mean(sample_beta_hermite(pot, 12, 60, stream(3, 13)) ** 4, axis=1)
-        assert est.stderr == float(np.std(samples, ddof=1) / math.sqrt(60))
+        assert est.estimate == pytest.approx(float(samples.mean()), rel=1e-12)
+        assert est.stderr == pytest.approx(float(np.std(samples, ddof=1) / math.sqrt(60)), rel=1e-12)
+
+    @pytest.mark.parametrize("pot", [Potential(b=0.25, alpha=2.0, beta=1.0), Potential(b=0.5, alpha=4.0, beta=1.0)],
+                             ids=["beta_hermite", "chain"])
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_no_samples_rejected(self, pot, n_samples):
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            estimate_equilibrium_moment(pot, 2, 8, n_samples, seed=3, burn_in=10, thin=1)
 
     def test_method_follows_the_potential(self):
         assert not Potential(b=0.5, alpha=4.0, beta=1.0).is_beta_hermite
@@ -417,17 +428,70 @@ class TestBetaHermite:
         assert a.shape == (150, 9) and np.all(np.diff(a, axis=1) >= 0)
         assert a.tobytes() == sample_beta_hermite(pot, 9, 150, stream(311)).tobytes()
 
+    def test_recorded_bytes(self):
+        # recorded before the draw moved to draw_tridiagonal
+        blobs = [sample_beta_hermite(Potential(b=b, alpha=2.0, beta=beta), N, m, stream(314, N)).tobytes()
+                 for b, beta, N, m in ((0.5, 2.5, 9, 150), (0.25, 1.0, 32, 130), (1.0, 2.0, 2, 3))]
+        assert hashlib.sha256(b"".join(blobs)).hexdigest()[:16] == "36944f1f4ef8c587"
+
     @pytest.mark.parametrize("block", [1, 7, 500])
     def test_block_size_does_not_change_draws(self, monkeypatch, block):
         pot = Potential(b=0.25, alpha=2.0, beta=1.0)
         ref = sample_beta_hermite(pot, 10, 200, stream(312))
-        monkeypatch.setattr(loggas, "_HERMITE_BLOCK", block)
+        monkeypatch.setattr(matcore, "_TRIDIAGONAL_BLOCK", block)
         assert sample_beta_hermite(pot, 10, 200, stream(312)).tobytes() == ref.tobytes()
 
     def test_rejects_potentials_it_cannot_draw(self):
         for pot in (Potential(b=1.0, alpha=4.0, beta=1.0), Potential(b=1.0, alpha=2.0, beta=1.0, w_kind="abs", w_coef=0.1)):
             with pytest.raises(ValueError):
                 sample_beta_hermite(pot, 8, 10, stream(313))
+
+
+GOE, GUE = GaussianProfile(sigma2=2.0, beta=1), GaussianProfile(sigma2=1.0, beta=2)
+
+
+def _off_by_one_degree(beta, N, count, rng):
+    """draw_tridiagonal with the chi2 degrees beta (N - i + 1): a mutation
+    the law tests must catch."""
+    a = math.sqrt(2.0) * rng.standard_normal((count, N))
+    return a, np.sqrt(rng.chisquare(beta * np.arange(N, 1, -1.0), size=(count, N - 1)))
+
+
+def _tridiagonal_moment4(beta, n, count, rng, draw=draw_tridiagonal):
+    """tr_n X**4 of count tridiagonal draws with X = T / sqrt(beta n), the
+    GOE (beta 1) or GUE (beta 2) law: the moments of the gas b = beta / 4."""
+    return trace_powers(draw(beta, n, count, rng), 4) / (n * (beta * n) ** 2)
+
+
+def _law_pvalue(prof, n, draw=draw_tridiagonal):
+    """Two-sample KS p-value of dense against tridiagonal tr_n X**4, 6000 draws each."""
+    mats = assemble_wigner_batch(prof, n, [stream(50, n, k) for k in range(6000)]) / math.sqrt(n)
+    dense = trace_powers(mats, 4) / n
+    return sps.ks_2samp(dense, _tridiagonal_moment4(prof.beta, n, 6000, stream(51, n), draw)).pvalue
+
+
+class TestTridiagonalLaw:
+    """The tridiagonal trace powers have the law of the dense GOE and GUE."""
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("prof", [GOE, GUE], ids=["goe", "gue"])
+    def test_matches_dense(self, prof, n):
+        assert _law_pvalue(prof, n) > 1e-3
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("prof", [GOE, GUE], ids=["goe", "gue"])
+    def test_mean_is_exact(self, prof, n):
+        exact = 2 + 5 / n + 5 / n ** 2 if prof.beta == 1 else 2 + 1 / n ** 2
+        vals = _tridiagonal_moment4(prof.beta, n, 20_000, stream(52, n, prof.beta))
+        assert abs(vals.mean() - exact) <= 4.0 * vals.std(ddof=1) / math.sqrt(vals.size)
+
+    @pytest.mark.parametrize("prof", [GOE, GUE], ids=["goe", "gue"])
+    def test_catches_wrong_degrees(self, prof):
+        # recorded mutation: chi2 degrees beta (n - i + 1) in place of beta (n - i)
+        assert _law_pvalue(prof, 8, _off_by_one_degree) < 1e-6
+        vals = _tridiagonal_moment4(prof.beta, 8, 20_000, stream(52, 8, prof.beta), _off_by_one_degree)
+        exact = 2 + 5 / 8 + 5 / 64 if prof.beta == 1 else 2 + 1 / 64
+        assert abs(vals.mean() - exact) > 4.0 * vals.std(ddof=1) / math.sqrt(vals.size)
 
 
 class TestIidOracle:

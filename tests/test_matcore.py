@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import sympy
 
+from rmtldp import matcore
 from rmtldp.matcore import (
     HermMatrix,
     eigh_diagnostic,
@@ -14,6 +15,7 @@ from rmtldp.matcore import (
     schatten_norm,
     trace_power,
     trace_powers,
+    tridiagonal_eigvals,
 )
 from rmtldp.randsrc import GaussianProfile
 from rmtldp.rng import stream
@@ -241,6 +243,63 @@ class TestTracePowers:
         for p in (0, -2, 2.0):
             with pytest.raises(ValueError, match="positive integer"):
                 trace_powers(np.eye(3), p)
+
+
+def _random_tridiagonal(n, count, rng):
+    """Diagonals (count, n) and off-diagonals (count, n - 1), both N(0, 1)."""
+    return rng.standard_normal((count, n)), rng.standard_normal((count, n - 1))
+
+
+def _dense_tridiagonal(a, b):
+    n = a.shape[-1]
+    mats = np.zeros(a.shape + (n,))
+    i = np.arange(n)
+    mats[..., i, i] = a
+    mats[..., i[1:], i[:-1]] = mats[..., i[:-1], i[1:]] = b
+    return mats
+
+
+class TestTridiagonalTracePowers:
+    """trace_powers on an (a, b) stack equals trace_powers on the dense matrices."""
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 70])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 6, 8])
+    def test_matches_dense(self, p, n):
+        a, b = _random_tridiagonal(n, 6, stream(108, n, p))
+        a, b = a.reshape(2, 3, n), b.reshape(2, 3, n - 1)  # any leading shape
+        dense = trace_powers(_dense_tridiagonal(a, b), p)
+        got = trace_powers((a, b), p)
+        assert got.shape == (2, 3)
+        scale = np.sum(np.abs(np.linalg.eigvalsh(_dense_tridiagonal(a, b))) ** p, axis=-1)  # odd p may cancel
+        assert np.all(np.abs(got - dense) <= 1e-12 * scale)
+
+    def test_low_powers_are_the_closed_forms(self):
+        a, b = _random_tridiagonal(11, 5, stream(109))
+        b2 = b * b
+        assert np.allclose(trace_powers((a, b), 2), np.sum(a * a, -1) + 2 * np.sum(b2, -1), rtol=1e-14, atol=0)
+        four = (np.sum(a ** 4, -1) + 4 * np.sum(b2 * (a[:, :-1] ** 2 + a[:, :-1] * a[:, 1:] + a[:, 1:] ** 2), -1)
+                + 2 * np.sum(b2 * b2, -1) + 4 * np.sum(b2[:, :-1] * b2[:, 1:], -1))
+        assert np.allclose(trace_powers((a, b), 4), four, rtol=1e-14, atol=0)
+
+    def test_power_far_past_the_size(self):
+        # the band outgrows the matrix at p = 40, n = 3
+        a, b = np.array([[0.5, -1.0, 0.25]]), np.array([[0.75, -0.5]])
+        lam = np.linalg.eigvalsh(_dense_tridiagonal(a, b))
+        assert trace_powers((a, b), 40) == pytest.approx(np.sum(lam ** 40, -1), rel=1e-12)
+
+    @pytest.mark.parametrize("block", [1, 5, 64])
+    def test_eigvals_in_blocks(self, monkeypatch, block):
+        a, b = _random_tridiagonal(6, 13, stream(110))
+        ref = np.linalg.eigvalsh(_dense_tridiagonal(a, b))
+        monkeypatch.setattr(matcore, "_TRIDIAGONAL_BLOCK", block)
+        assert tridiagonal_eigvals(a, b).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_input_never_written(self, p):
+        a, b = _random_tridiagonal(5, 4, stream(111))
+        before = a.tobytes() + b.tobytes()
+        trace_powers((a, b), p)
+        assert a.tobytes() + b.tobytes() == before
 
 
 class TestNorms:
