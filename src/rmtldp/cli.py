@@ -60,6 +60,14 @@ def _meta(config: dict, seed: int) -> dict:
     }
 
 
+def _integral(config: dict, key: str, default=None) -> int:
+    """config[key] (or default) as an int; a non-integral value is invalid, not truncated."""
+    value = config[key] if default is None else config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _write(out: str | None, text: str) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -92,8 +100,6 @@ def _emit_json(out, meta: dict, payload: dict) -> None:
 
 
 def _json_default(v):
-    if isinstance(v, float) and math.isinf(v):
-        return "inf"
     if isinstance(v, np.bool_):
         return bool(v)
     if isinstance(v, np.integer):
@@ -113,7 +119,7 @@ def cmd_rate(config: dict, seed: int, out, fmt: str) -> int:
     grid = config.get("grid", {})
     lo = float(grid.get("lo", spec.center))
     hi = float(grid.get("hi", spec.center + 2.0))
-    num = int(grid.get("num", 41))
+    num = _integral(grid, "num", 41)
     xs = np.linspace(lo, hi, num)
     meta = _meta(config, seed)
     meta["speed"] = speed_exponent(spec)
@@ -121,7 +127,7 @@ def cmd_rate(config: dict, seed: int, out, fmt: str) -> int:
     if fmt == "json":
         _emit_json(out, meta, {"rows": [{"x": x, "rate": r} for x, r in rows]})
     else:
-        _emit_csv(out, meta, ("x", "rate"), [(x, "inf" if math.isinf(r) else r) for x, r in rows])
+        _emit_csv(out, meta, ("x", "rate"), rows)
     return EXIT_OK
 
 
@@ -131,9 +137,9 @@ def cmd_varopt(config: dict, seed: int, out, fmt: str) -> int:
             alpha=float(config["alpha"]),
             a=float(config["a"]),
             b=float(config["b"]),
-            p=int(config["p"]),
-            n_max=int(config.get("n_max", 6)),
-            budget=int(config.get("budget", 64)),
+            p=_integral(config, "p"),
+            n_max=_integral(config, "n_max", 6),
+            budget=_integral(config, "budget", 64),
             seed=seed,
         )
     except CertificateError as exc:
@@ -147,10 +153,10 @@ def cmd_deviations(config: dict, seed: int, out, fmt: str) -> int:
     model = profile_from_json(config["model"])
     scan = rate_slope_scan(
         model,
-        p=int(config["p"]),
+        p=_integral(config, "p"),
         x=float(config["x"]),
         n_grid=config["n_grid"],
-        trials_per_n=int(config.get("trials", 2000)),
+        trials_per_n=_integral(config, "trials", 2000),
         seed=seed,
         method=config.get("method", "auto"),
         min_points=1,
@@ -177,23 +183,23 @@ def cmd_deviations(config: dict, seed: int, out, fmt: str) -> int:
 def cmd_sample(config: dict, seed: int, out, fmt: str) -> int:
     what = config.get("what", "loggas")
     if what == "loggas":
-        sweeps = int(config.get("sweeps", 0))
+        sweeps = _integral(config, "sweeps", 0)
         if "checkpoint" in config:
             # continue a previous artifact's chain; its stream state replaces the seed
             state, potential = GasState.from_checkpoint(config["checkpoint"])
             if "potential" in config and Potential.from_json(config["potential"]) != potential:
                 raise ValueError("config potential disagrees with the checkpoint's")
-            if "N" in config and int(config["N"]) != state.lambdas.size:
+            if "N" in config and _integral(config, "N") != state.lambdas.size:
                 raise ValueError(f"config N={config['N']} disagrees with the checkpoint's N={state.lambdas.size}")
         else:
             potential = Potential.from_json(config["potential"])
-            state = GasState.initial(potential, int(config["N"]), seed)
+            state = GasState.initial(potential, _integral(config, "N"), seed)
         run_chain(state, potential, sweeps, tune=bool(config.get("tune", False)))
         _emit_json(out, _meta(config, seed), {"checkpoint": state.checkpoint(potential)})
         return EXIT_OK
     if what == "wigner":
         model = profile_from_json(config["model"])
-        n = int(config["n"])
+        n = _integral(config, "n")
         _, xn = assemble_wigner(n, model, stream(seed, 1, 0))
         lam = eigvals(xn)
         _emit_csv(out, _meta(config, seed), ("index", "eigenvalue"), list(enumerate(map(float, lam))))
@@ -211,18 +217,12 @@ def cmd_calibrate(config: dict, seed: int, out, fmt: str) -> int:
     )
     rows = tail_calibration_report(
         profile,
-        n_samples=int(config.get("n_samples", 200_000)),
+        n_samples=_integral(config, "n_samples", 200_000),
         t_grid=config["t_grid"],
         rng=stream(seed, 5),
         role=config.get("role", "offdiagonal"),
     )
-    table = [
-        (r.t, "inf" if math.isinf(r.ratio) else r.ratio,
-         "inf" if math.isinf(r.ci_low) else r.ci_low,
-         "inf" if math.isinf(r.ci_high) else r.ci_high,
-         r.n_exceed, int(r.below_onset))
-        for r in rows
-    ]
+    table = [(r.t, r.ratio, r.ci_low, r.ci_high, r.n_exceed, int(r.below_onset)) for r in rows]
     _emit_csv(out, _meta(config, seed), ("t", "ratio", "ci_low", "ci_high", "n_exceed", "below_onset"), table)
     return EXIT_OK
 

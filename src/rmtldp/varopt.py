@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _ENTRY_FLOOR = 1e-8  # |entries| are kept above this; |x|**alpha has no gradient at 0
+_MAX_SUPPORT = 6  # support entries of a random restart
 
 
 class CertificateError(RuntimeError):
@@ -64,13 +65,6 @@ class SparseHermCandidate:
         return HermMatrix(1, _assemble(support, values, self.n))
 
 
-def _support_cost(support, values, a, b, alpha) -> float:
-    c = 0.0
-    for (i, j), v in zip(support, values):
-        c += (b if i == j else a) * abs(v) ** alpha
-    return float(c)
-
-
 def _assemble(support, values, n) -> np.ndarray:
     mat = np.zeros((n, n))
     for (i, j), v in zip(support, values):
@@ -79,53 +73,65 @@ def _assemble(support, values, n) -> np.ndarray:
     return mat
 
 
-def _descend(support, values, n, p, a, b, alpha, iters=240):
+def _descend(supports, values, p, a, b, alpha, n_max, iters=240):
     """Gradient descent on the scale-invariant objective
     I(A) / (tr A^p)^(alpha/p) with backtracking, then rescale to the
-    constraint.  Returns (cost at tr A^p = 1, scaled values) or None for
-    candidates that cannot be rescaled (odd p, nonpositive trace power)."""
-    values = np.asarray(values, dtype=float)
-    coef = np.array([b if i == j else a for (i, j) in support])
-    pair = np.array([1.0 if i == j else 2.0 for (i, j) in support])
+    constraint, for all restarts in lockstep.  Each restart is padded to an
+    (n_max + 1) x (n_max + 1) matrix with _MAX_SUPPORT slots; padded slots
+    hold 0 at the dummy corner (n_max, n_max), so the fixed shape keeps each
+    restart's result independent of the batch.  Returns per restart (cost
+    at tr A^p = 1, scaled values) or None for candidates that cannot be
+    rescaled (odd p, nonpositive trace power)."""
+    count = len(supports)
+    rows = np.full((count, _MAX_SUPPORT), n_max)
+    cols = rows.copy()
+    vals = np.zeros((count, _MAX_SUPPORT))
+    for r, (support, v) in enumerate(zip(supports, values)):
+        rows[r, : len(v)], cols[r, : len(v)] = np.transpose(support)
+        vals[r, : len(v)] = v
+    real = rows != n_max
+    pair = np.where(real, np.where(rows == cols, 1.0, 2.0), 0.0)
+    coef = np.where(pair == 1.0, b, a) * real
 
-    def constraint_and_grad(v):
-        mat = _assemble(support, v, n)
-        lam, q = np.linalg.eigh(mat)
-        t = float(np.sum(lam ** p))
-        apm1 = (q * lam ** (p - 1)) @ q.T
-        g = np.array([p * pair[k] * apm1[i, j] for k, (i, j) in enumerate(support)])
-        return t, g
+    def objective(live, v):
+        """(f, grad f, tr A^p) of the restarts live at slot values v."""
+        mats = np.zeros((live.size, n_max + 1, n_max + 1))
+        k, i, j = np.arange(live.size)[:, None], rows[live], cols[live]
+        mats[k, i, j] = v
+        mats[k, j, i] = v
+        apm1 = mats
+        for _ in range(p - 2):
+            apm1 = apm1 @ mats
+        gt = p * pair[live] * apm1[k, i, j]
+        t = (v * gt).sum(axis=1) / p
+        ok = t > 1e-300
+        safe = np.where(ok, t, 1.0)[:, None]
+        mod = np.where(real[live], np.abs(v), 1.0)  # no powers of padded zeros
+        cost = (coef[live] * mod ** alpha).sum(axis=1)[:, None]
+        gc = coef[live] * alpha * mod ** (alpha - 1.0) * np.sign(v)
+        gf = gc / safe ** (alpha / p) - (alpha / p) * cost * safe ** (-alpha / p - 1.0) * gt
+        return np.where(ok, cost[:, 0] / safe[:, 0] ** (alpha / p), math.inf), gf, t
 
-    def objective(v):
-        t, gt = constraint_and_grad(v)
-        if t <= 1e-300:
-            return math.inf, None
-        cost = float(np.sum(coef * np.abs(v) ** alpha))
-        f = cost / t ** (alpha / p)
-        gc = coef * alpha * np.abs(v) ** (alpha - 1.0) * np.sign(v)
-        gf = gc / t ** (alpha / p) - (alpha / p) * cost * t ** (-alpha / p - 1.0) * gt
-        return f, gf
-
-    f, g = objective(values)
-    if not math.isfinite(f):
-        return None
-    eta = 0.1
+    f, g, _ = objective(np.arange(count), vals)
+    active, eta = np.isfinite(f), np.full(count, 0.1)  # f stays inf where the start is infeasible
     for _ in range(iters):
-        step = values - eta * g
+        live = np.flatnonzero(active)
+        if live.size == 0:
+            break
+        step = vals[live] - eta[live, None] * g[live]
         step = np.sign(step) * np.maximum(np.abs(step), _ENTRY_FLOOR)
-        f_new, g_new = objective(step)
-        if f_new < f - 1e-15:
-            values, f, g = step, f_new, g_new
-            eta = min(eta * 1.3, 1.0)
-        else:
-            eta *= 0.5
-            if eta < 1e-12:
-                break
-    t, _ = constraint_and_grad(values)
-    if t <= 0:
-        return None
-    scaled = values / t ** (1.0 / p)
-    return f, scaled
+        f_new, g_new, _ = objective(live, step)
+        accept = f_new < f[live] - 1e-15
+        took, missed = live[accept], live[~accept]
+        vals[took], f[took], g[took] = step[accept], f_new[accept], g_new[accept]
+        eta[took] = np.minimum(eta[took] * 1.3, 1.0)
+        eta[missed] *= 0.5
+        active[missed[eta[missed] < 1e-12]] = False
+    t = objective(np.arange(count), vals)[2]
+    return [
+        (f[r], vals[r, : len(supports[r])] / t[r] ** (1.0 / p)) if math.isfinite(f[r]) and t[r] > 0 else None
+        for r in range(count)
+    ]
 
 
 @dataclass
@@ -138,7 +144,8 @@ class CpResult:
     argmin: SparseHermCandidate
     bracket: tuple | None
     certificate_ok: bool
-    restarts: int
+    restarts: int  # random restarts descended (odd p skips some before descent)
+    kept: int  # descents that returned a feasible candidate
 
     def to_json(self) -> dict:
         return {
@@ -172,8 +179,12 @@ def solve_rate_constant(
         raise ValueError(f"p must be >= 3, got {p}")
     if not (0 < alpha < 2):
         raise ValueError(f"alpha must be in (0, 2), got {alpha}")
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise ValueError(f"a and b must be finite and > 0, got a={a}, b={b}")
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
 
     even = p % 2 == 0
     best_cost = math.inf
@@ -182,11 +193,9 @@ def solve_rate_constant(
 
     def consider(support, values, n):
         nonlocal best_cost, best_support, best_n
-        cost = _support_cost(support, values, a, b, alpha)
+        cost = float(sum((b if i == j else a) * abs(v) ** alpha for (i, j), v in zip(support, values)))
         t = trace_powers(_assemble(support, values, n), p)
-        if abs(t - 1.0) > 1e-9:
-            return
-        if cost < best_cost:
+        if abs(t - 1.0) <= 1e-9 and cost < best_cost:
             best_cost = cost
             best_support = tuple((i, j, float(v)) for (i, j), v in zip(support, values))
             best_n = n
@@ -197,8 +206,7 @@ def solve_rate_constant(
         # rescaling often yields a strictly cheaper feasible point
         keep = [k for k, v in enumerate(values) if abs(v) > 10.0 * _ENTRY_FLOOR]
         if 0 < len(keep) < len(values):
-            sub_support = [support[k] for k in keep]
-            sub_values = np.asarray([values[k] for k in keep])
+            sub_support, sub_values = [support[k] for k in keep], values[keep]
             t = trace_powers(_assemble(sub_support, sub_values, n), p)
             if t > 0:
                 consider(sub_support, sub_values / t ** (1.0 / p), n)
@@ -208,25 +216,27 @@ def solve_rate_constant(
     if even:
         consider([(0, 1)], np.array([2.0 ** (-1.0 / p)]), 2)
 
-    # randomized descent
-    rng_master = stream(seed, 23)
-    sub_seeds = rng_master.integers(0, 2**62, size=int(budget))
+    # randomized descent: draw every restart, descend them together, then
+    # consider the results in restart order so that ties resolve the same
+    sub_seeds = stream(seed, 23).integers(0, 2**62, size=int(budget))
+    supports, starts, dims = [], [], []
     for k in range(int(budget)):
         rng = stream(int(sub_seeds[k]), k)
         n = int(rng.integers(1, n_max + 1))
-        max_sz = min(6, n * (n + 1) // 2)
-        size = int(rng.integers(1, max_sz + 1))
         pool = [(i, j) for i in range(n) for j in range(i, n)]
+        size = int(rng.integers(1, min(_MAX_SUPPORT, len(pool)) + 1))
         pick = rng.choice(len(pool), size=size, replace=False)
         support = [pool[idx] for idx in pick]
         values = rng.standard_normal(size)
         if not even and trace_powers(_assemble(support, values, n), p) <= 0:
             continue  # odd p: nonpositive trace power cannot be rescaled
-        res = _descend(support, values, n, p, a, b, alpha)
-        if res is None:
-            continue
-        _, scaled = res
-        consider_with_cleanup(support, scaled, n)
+        supports.append(support)
+        starts.append(values)
+        dims.append(n)
+    results = _descend(supports, starts, p, a, b, alpha, n_max)
+    for support, n, res in zip(supports, dims, results):
+        if res is not None:
+            consider_with_cleanup(support, res[1], n)
 
     bracket = None
     cert_ok = True
@@ -242,7 +252,8 @@ def solve_rate_constant(
             )
 
     argmin = SparseHermCandidate(n=best_n, support=best_support, cost=best_cost, constraint=1.0)
-    return CpResult(alpha, a, b, p, best_cost, argmin, bracket, cert_ok, int(budget))
+    kept = sum(res is not None for res in results)
+    return CpResult(alpha, a, b, p, best_cost, argmin, bracket, cert_ok, len(supports), kept)
 
 
 def entrywise_eigenvalue_gap(A: HermMatrix, alpha: float) -> float:

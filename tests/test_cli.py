@@ -79,6 +79,31 @@ class TestVaroptCommand:
         assert lo == pytest.approx(0.5) and hi == pytest.approx(2 ** (-1.5 / 4), abs=1e-9)
         assert lo <= doc["value"] <= hi + 1e-6
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"a": -1}, "a and b must be finite and > 0"),
+        ({"b": 0}, "a and b must be finite and > 0"),
+        ({"a": "inf"}, "a and b must be finite and > 0"),
+        ({"budget": -1}, "budget must be >= 0"),
+        ({"p": 4.5}, "p must be an integer, got 4.5"),
+        ({"budget": 16.5}, "budget must be an integer, got 16.5"),
+        ({"n_max": 6.5}, "n_max must be an integer, got 6.5"),
+        ({"p": True}, "p must be an integer, got True"),
+    ], ids=["a_negative", "b_zero", "a_inf", "budget_negative", "p_fractional", "budget_fractional",
+            "n_max_fractional", "p_bool"])
+    def test_bad_input_exit_2(self, tmp_path, capsys, bad, message):
+        cfg = dict({"alpha": 1.0, "a": 1.0, "b": 1.0, "p": 4, "budget": 4}, **bad)
+        code, _ = run_cli(tmp_path, "varopt", cfg, fmt="json")
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_integral_float_fields_accepted(self, tmp_path):
+        cfg = {"alpha": 1.0, "a": 1.0, "b": 1.0, "p": 4, "budget": 8}
+        code, out = run_cli(tmp_path, "varopt", cfg, fmt="json", name="int")
+        code_f, out_f = run_cli(tmp_path, "varopt", dict(cfg, p=4.0, budget=8.0, n_max=6.0), fmt="json", name="float")
+        assert code == code_f == 0
+        doc, doc_f = json.loads(out.read_text()), json.loads(out_f.read_text())
+        assert doc["value"] == doc_f["value"] and doc["argmin_support"] == doc_f["argmin_support"]
+
     def test_certificate_violation_exit_3(self, tmp_path, monkeypatch):
         def boom(**kw):
             raise CertificateError("forced")
@@ -150,7 +175,10 @@ class TestDeviationsCommand:
         ({"x": "nan"}, "x must be finite and p an integer >= 1"),
         ({"p": 3, "x": 3.0, "method": "planted_is"}, "planted_is is impossible here: p=3 is odd"),
         ({"x": 2.0, "method": "planted_is"}, "planted_is is impossible here: x=2.0 is not above the center"),
-    ], ids=["method", "offdiag_n1", "diag_n1", "p0", "x_nan", "is_odd_p", "is_x_at_center"])
+        ({"p": 4.5}, "p must be an integer, got 4.5"),
+        ({"trials": 50.7}, "trials must be an integer, got 50.7"),
+    ], ids=["method", "offdiag_n1", "diag_n1", "p0", "x_nan", "is_odd_p", "is_x_at_center", "p_fractional",
+            "trials_fractional"])
     def test_bad_input_exit_2(self, tmp_path, capsys, bad, message):
         code, _ = run_cli(tmp_path, "deviations", dict(self.CFG, **bad))
         assert code == 2
@@ -227,6 +255,18 @@ class TestSampleCommand:
         code, _ = run_cli(tmp_path, "sample", dict(cfg, checkpoint=ck, **override), fmt="json", name="bad")
         assert code == 2
         assert "disagrees with the checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"N": 8.5}, "N must be an integer, got 8.5"),
+        ({"sweeps": 2.5}, "sweeps must be an integer, got 2.5"),
+        ({"what": "wigner", "model": {"kind": "gaussian", "sigma2": 1.0, "beta": 1}, "n": "16"},
+         "n must be an integer, got '16'"),
+    ], ids=["N_fractional", "sweeps_fractional", "n_string"])
+    def test_non_integral_count_exit_2(self, tmp_path, capsys, bad, message):
+        cfg = dict({"what": "loggas", "potential": {"b": 0.25, "alpha": 2.0, "beta": 1.0}, "N": 8, "sweeps": 5}, **bad)
+        code, _ = run_cli(tmp_path, "sample", cfg, fmt="json")
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_wigner_eigenvalues_csv(self, tmp_path):
         cfg = {"what": "wigner", "model": {"kind": "gaussian", "sigma2": 1.0, "beta": 1}, "n": 16}
