@@ -95,18 +95,23 @@ def _fmt(v) -> str:
 
 
 def _emit_json(out, meta: dict, payload: dict) -> None:
-    doc = {"meta": meta, **payload}
-    _write(out, json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n")
+    doc = _plain_json({"meta": meta, **payload})
+    _write(out, json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
-def _json_default(v):
-    if isinstance(v, np.bool_):
-        return bool(v)
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, np.floating):
-        return float(v) if math.isfinite(v) else "inf"
-    raise TypeError(f"not serializable: {type(v)}")
+def _plain_json(v):
+    """v with numpy scalars made Python values and each non-finite float
+    spelled "inf", "-inf" or "nan", since JSON (RFC 8259) has no token for
+    them."""
+    if isinstance(v, dict):
+        return {k: _plain_json(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_plain_json(x) for x in v]
+    if isinstance(v, np.generic):
+        v = v.item()
+    if isinstance(v, float) and not math.isfinite(v):
+        return "nan" if math.isnan(v) else ("inf" if v > 0 else "-inf")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +336,9 @@ def cmd_verify(config: dict, seed: int, out, fmt: str) -> int:
     for name, fn in _verify_checks(seed):
         t0 = time.perf_counter()
         ok, detail = fn()
-        dt = time.perf_counter() - t0
-        results.append({"check": name, "pass": bool(ok), "detail": detail, "seconds": round(dt, 4)})
+        # wall time varies run to run, so it stays out of the artifact
+        sys.stderr.write(f"{name} {time.perf_counter() - t0:.4f} s\n")
+        results.append({"check": name, "pass": bool(ok), "detail": detail})
         all_ok = all_ok and ok
     _emit_json(out, _meta(config, seed), {"checks": results, "all_pass": all_ok})
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED

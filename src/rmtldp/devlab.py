@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 _CHUNK = 256
+_ESS_FLOOR = 50.0
+_M_CAP = 16.0
 
 
 def _normalized_trace_powers(mats: np.ndarray, p: int) -> np.ndarray:
@@ -114,13 +116,12 @@ def estimate_tail_planted_is(
     x: float,
     n_trials: int,
     seed: int = 0,
-    ess_floor: float = 50.0,
 ) -> DeviationEstimate:
     """Self-normalized importance sampling with a planted single-entry
     proposal; supports even p and thresholds at or above the center, and
-    raises otherwise.  notes["naive_hits"] counts the unplanted matrices of
-    the same draws that reach x, the hits estimate_tail_naive reports at
-    this seed."""
+    raises otherwise.  An ESS below _ESS_FLOOR flags the estimate.
+    notes["naive_hits"] counts the unplanted matrices of the same draws
+    that reach x, the hits estimate_tail_naive reports at this seed."""
     if p % 2:
         raise ValueError("planted importance sampling supports even p only")
     center = semicircle_moment(p)
@@ -154,7 +155,7 @@ def estimate_tail_planted_is(
     return DeviationEstimate(
         n=n, x=float(x), p_hat=p_hat, stderr=se, n_trials=n_trials, method="planted_is",
         slope=slope, ci_low=lo, ci_high=hi, hits=int(hit.sum()), ess=float(ess),
-        flagged=bool(ess < ess_floor), weight_mean=w_mean, weight_mean_se=w_mean_se,
+        flagged=bool(ess < _ESS_FLOOR), weight_mean=w_mean, weight_mean_se=w_mean_se,
         notes={"mechanism": mech, "theta": theta, "delta": delta,
                "naive_hits": int(np.count_nonzero(values >= x))},
     )
@@ -218,6 +219,10 @@ def rate_slope_scan(
         raise ValueError(f"method must be auto, naive or planted_is, got {method!r}")
     if not math.isfinite(x) or not isinstance(p, (int, np.integer)) or p < 1:
         raise ValueError(f"x must be finite and p an integer >= 1, got x={x}, p={p!r}")
+    n_grid = list(n_grid)
+    if any(isinstance(v, bool) or not isinstance(v, (int, float, np.integer)) or not float(v).is_integer()
+           for v in n_grid):
+        raise ValueError(f"n_grid entries must be integers, got {n_grid!r}")
     n_grid = [int(v) for v in n_grid]
     if len(n_grid) < min_points or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError(f"n_grid must be ascending with at least {min_points} points")
@@ -260,8 +265,8 @@ class BoundedProbeRow:
     stderr: float
 
 
-def _truncated_normal(rng: np.random.Generator, kappa: float, size) -> np.ndarray:
-    lo = 0.5 * math.erfc(kappa / math.sqrt(2.0))  # Phi(-kappa)
+def _truncated_normal(rng: np.random.Generator, size) -> np.ndarray:
+    lo = 0.5 * math.erfc(1.0 / math.sqrt(2.0))  # Phi(-1)
     u = rng.random(size)
     return special.ndtri(lo + u * (1.0 - 2.0 * lo))
 
@@ -273,16 +278,14 @@ def bounded_entry_concentration_probe(
     t_grid,
     n_trials: int,
     seed: int = 0,
-    kappa: float = 1.0,
-    m_cap: float = 16.0,
 ) -> list[BoundedProbeRow]:
     """Shape probe of trace-power concentration for bounded-entry matrices
     deformed by a sparse spike.
 
-    H has iid truncated-Gaussian entries bounded by kappa; the spike C puts
+    H has iid truncated-Gaussian entries bounded by 1; the spike C puts
     s * n**(1/2+1/p) at (1,1).  The normalized-spike moment condition
-    tr (C/sqrt(n))**(2(p-1)) <= m n**(2-2/p) is checked; violation of the
-    cap raises naming m.  Reported frequencies share one sample per spike,
+    tr (C/sqrt(n))**(2(p-1)) <= m n**(2-2/p) is checked; m above _M_CAP
+    raises naming m.  Reported frequencies share one sample per spike,
     so they are weakly decreasing along the threshold grid.
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
@@ -291,11 +294,11 @@ def bounded_entry_concentration_probe(
     for s_idx, s in enumerate(np.atleast_1d(np.asarray(spike_magnitudes, dtype=float))):
         c0 = s * n ** (0.5 + 1.0 / p)
         m = (c0 / math.sqrt(n)) ** (2 * (p - 1)) / n ** (2.0 - 2.0 / p)
-        if m > m_cap:
-            raise ValueError(f"spike hypothesis violated: m = {m:.4g} exceeds cap {m_cap}")
+        if m > _M_CAP:
+            raise ValueError(f"spike hypothesis violated: m = {m:.4g} exceeds cap {_M_CAP}")
         vals = np.empty(n_trials)
         for start, rngs in _batches(n_trials, seed, 3, s_idx):
-            draws = (_truncated_normal(rng, kappa, n * (n + 1) // 2) for rng in rngs)
+            draws = (_truncated_normal(rng, n * (n + 1) // 2) for rng in rngs)
             h = assemble_hermitian(((v[on_diag], np.delete(v, on_diag)) for v in draws), len(rngs), n, 1)
             h[:, 0, 0] += c0
             vals[start : start + len(rngs)] = _normalized_trace_powers(h / math.sqrt(n), p)

@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 _W_KINDS = ("zero", "abs", "quadratic")
+_TARGET_ACCEPTANCE = 0.4
+_TUNE_INTERVAL = 100
 
 
 @dataclass(frozen=True)
@@ -123,8 +125,8 @@ class GasState:
     """Mutable chain state: configuration, proposal scale, counters.
 
     window_accept and window_proposals count the sweeps since the last
-    tuning-window boundary (a multiple of run_chain's tune_interval in
-    sweep_count), so a tuned chain resumes mid-window."""
+    tuning-window boundary (a multiple of _TUNE_INTERVAL in sweep_count),
+    so a tuned chain resumes mid-window."""
 
     lambdas: np.ndarray
     step: float
@@ -136,7 +138,7 @@ class GasState:
     window_proposals: int = 0
 
     @classmethod
-    def initial(cls, potential: Potential, N: int, seed: int, chain_id: int = 0, step: float | None = None) -> "GasState":
+    def initial(cls, potential: Potential, N: int, seed: int, step: float | None = None) -> "GasState":
         if N < 2:
             raise ValueError("N must be >= 2")
         # start spread across the scale where N*V ~ 1 particle-wise
@@ -144,7 +146,7 @@ class GasState:
         lam = np.linspace(-radius, radius, N)
         if step is None:
             step = 0.5 / math.sqrt(N)
-        return cls(lambdas=lam, step=float(step), rng=stream(seed, 7, chain_id))
+        return cls(lambdas=lam, step=float(step), rng=stream(seed, 7, 0))
 
     @property
     def acceptance_rate(self) -> float:
@@ -245,27 +247,25 @@ def run_chain(
     potential: Potential,
     n_sweeps: int,
     tune: bool = False,
-    target_acceptance: float = 0.4,
-    tune_interval: int = 100,
 ) -> GasState:
     """Run n_sweeps sweeps; optionally adapt the step toward the target
-    acceptance rate (only do this during burn-in, the adapted step must be
-    frozen before samples are collected).
+    acceptance rate _TARGET_ACCEPTANCE (only do this during burn-in, the
+    adapted step must be frozen before samples are collected).
 
     Tuning windows end where state.sweep_count is a multiple of
-    tune_interval, and the open window's counts live in the state, so
+    _TUNE_INTERVAL, and the open window's counts live in the state, so
     tuned runs of a and b sweeps equal one tuned run of a + b."""
     for _ in range(n_sweeps):
         a0, p0 = state.accept_count, state.proposal_count
         mcmc_sweep(state, potential)
         state.window_accept += state.accept_count - a0
         state.window_proposals += state.proposal_count - p0
-        if state.sweep_count % tune_interval == 0:
+        if state.sweep_count % _TUNE_INTERVAL == 0:
             if tune and state.window_proposals:
                 rate = state.window_accept / state.window_proposals
-                if rate > target_acceptance + 0.1:
+                if rate > _TARGET_ACCEPTANCE + 0.1:
                     state.step *= 1.2
-                elif rate < target_acceptance - 0.1:
+                elif rate < _TARGET_ACCEPTANCE - 0.1:
                     state.step /= 1.2
             state.window_accept = state.window_proposals = 0
     return state
@@ -394,9 +394,8 @@ def estimate_equilibrium_moment(
 
 def _rejection_envelope(potential: Potential, N: int):
     """Gaussian envelope matched at the mode (numerically bounded ratio)."""
-    if potential.alpha == 2.0:
-        b_eff = potential.b + (potential.w_coef if potential.w_kind == "quadratic" else 0.0)
-        sigma = math.sqrt(1.0 / (2.0 * N * b_eff))
+    if potential.alpha == 2.0:  # no quadratic remainder is admissible here
+        sigma = math.sqrt(1.0 / (2.0 * N * potential.b))
     else:
         sigma = 1.5 * (1.0 / (N * potential.b)) ** (1.0 / potential.alpha)
     x_hi = max(8.0 * sigma, (80.0 / (N * potential.b)) ** (1.0 / potential.alpha))
@@ -448,8 +447,8 @@ def iid_truncated_tail(
 # ---------------------------------------------------------------------------
 
 LIPSCHITZ_REGISTRY = {
-    "identity_clip": lambda x, K=10.0: np.clip(x, -K, K),
-    "abs_clip": lambda x, K=10.0: np.clip(np.abs(x), 0.0, K),
+    "identity_clip": lambda x: np.clip(x, -10.0, 10.0),
+    "abs_clip": lambda x: np.clip(np.abs(x), 0.0, 10.0),
     "sin": np.sin,
 }
 

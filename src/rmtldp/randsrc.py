@@ -136,23 +136,19 @@ class TwoPieceModulus:
 
     # ---- sampling -----------------------------------------------------
 
-    def sample(self, rng: np.random.Generator, size=None):
-        scalar = size is None
-        m = 1 if scalar else int(np.prod(size))
-        u = rng.random(m)
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        u = rng.random(size)
         is_tail = u < self.tail_mass
-        out = np.empty(m)
+        out = np.empty(size)
         k = int(is_tail.sum())
         if k:
             e = rng.standard_exponential(k)
             out[is_tail] = (self._t0_alpha + e / self.c) ** (1.0 / self.alpha)
-        j = m - k
+        j = size - k
         if j:
             v = rng.random(j)
             out[~is_tail] = np.minimum(self.s * special.ndtri(0.5 + v * self._core_z), self.t0)
-        if scalar:
-            return float(out[0])
-        return out.reshape(size)
+        return out
 
     # ---- exponential-type tilt (importance-sampling support) ----------
 
@@ -451,10 +447,10 @@ class TailProfile:
         return cls(**obj)
 
     @classmethod
-    def with_feasible_t0(cls, alpha: float, a: float, b: float, margin: float = 1.1, **kw) -> "TailProfile":
-        """Profile whose t0 is bumped just above the calibration limit."""
+    def with_feasible_t0(cls, alpha: float, a: float, b: float, **kw) -> "TailProfile":
+        """Profile whose t0 is bumped 10% above the calibration limit."""
         t_min = _minimal_feasible_t0(a, alpha)
-        return cls(alpha=alpha, a=a, b=b, t0=margin * t_min, **kw)
+        return cls(alpha=alpha, a=a, b=b, t0=1.1 * t_min, **kw)
 
 
 def _sample_phase(law: str, rng: np.random.Generator, size: int):
@@ -485,7 +481,6 @@ def tail_calibration_report(
     t_grid,
     rng: np.random.Generator,
     role: str = "offdiagonal",
-    z: float = 3.0,
 ) -> list[CalibrationRow]:
     """Empirical -log P(|X| > t) / t**alpha per grid point, with Wilson CI.
 
@@ -502,7 +497,7 @@ def tail_calibration_report(
     rows = []
     for t in t_grid:
         hits = int(np.count_nonzero(mods > t))
-        p_lo, p_hi = wilson_interval(hits, int(n_samples), z=z)
+        p_lo, p_hi = wilson_interval(hits, int(n_samples))
         ta = t ** profile.alpha
         ratio = -math.log(hits / n_samples) / ta if hits else math.inf
         lo = -math.log(p_hi) / ta if p_hi > 0 else math.inf

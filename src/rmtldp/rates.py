@@ -83,6 +83,8 @@ class RateSpec:
     def __post_init__(self):
         if self.theorem not in _THEOREMS:
             raise ValueError(f"unknown theorem key {self.theorem!r}")
+        if isinstance(self.p, bool) or not isinstance(self.p, (int, np.integer)) or self.p < 1:
+            raise ValueError(f"p must be an integer >= 1, got {self.p!r}")
         if self.theorem in ("gaussian", "wigner_no_gaussian_tail") and self.p < 3:
             raise ValueError(f"{self.theorem} requires p >= 3, got p={self.p}")
         if self.theorem == "beta_ensemble":
@@ -94,13 +96,11 @@ class RateSpec:
 
     @classmethod
     def for_gaussian(cls, p: int, sigma2: float, beta: int) -> "RateSpec":
-        center = semicircle_moment(p) if p % 2 == 0 else 0.0
-        return cls("gaussian", p, {"sigma2": float(sigma2), "beta": int(beta)}, center)
+        return cls("gaussian", p, {"sigma2": float(sigma2), "beta": int(beta)}, semicircle_moment(p))
 
     @classmethod
     def for_wg(cls, p: int, c_p: float, alpha: float) -> "RateSpec":
-        center = semicircle_moment(p) if p % 2 == 0 else 0.0
-        return cls("wigner_no_gaussian_tail", p, {"c_p": float(c_p), "alpha": float(alpha)}, center)
+        return cls("wigner_no_gaussian_tail", p, {"c_p": float(c_p), "alpha": float(alpha)}, semicircle_moment(p))
 
     @classmethod
     def for_beta_ensemble(cls, p: int, b: float, alpha: float, center: float) -> "RateSpec":
@@ -115,7 +115,10 @@ class RateSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RateSpec":
-        return cls(obj["theorem"], int(obj["p"]), dict(obj["params"]), float(obj["center"]))
+        p = obj["p"]
+        if isinstance(p, float) and p.is_integer():
+            p = int(p)  # JSON may write a count as 4.0; 4.5 stays and is rejected
+        return cls(obj["theorem"], p, dict(obj["params"]), float(obj["center"]))
 
 
 def speed_exponent(spec: RateSpec) -> float:
@@ -166,17 +169,16 @@ def deformed_trace_limit(H: HermMatrix, p: int) -> float:
     return semicircle_moment(p) + trace_power(H, p)
 
 
-def hollow_witness(n: int, s: float, p: int, center: float | None = None) -> HermMatrix:
+def hollow_witness(n: int, s: float, p: int) -> HermMatrix:
     """Hollow matrix (zero diagonal, constant off-diagonal) whose deformed
     trace limit equals s exactly.
 
-    For even p the target must satisfy s >= center; for odd p the witness
-    needs n >= 3 (the two-point spectrum cancels odd powers).
+    For even p the target must satisfy s >= semicircle_moment(p); for odd p
+    the witness needs n >= 3 (the two-point spectrum cancels odd powers).
     """
     if n < 2:
         raise ValueError("witness needs n >= 2")
-    if center is None:
-        center = semicircle_moment(p)
+    center = semicircle_moment(p)
     if p % 2 == 0:
         if s < center:
             raise ValueError(f"even p witness needs s >= center ({s} < {center})")
@@ -236,13 +238,12 @@ def trace_linearization_discrepancy(
     n_H: int,
     source,
     rng: np.random.Generator,
-    max_dim: int = 8,
 ) -> float:
     """Worst-case gap between the shifted normalized trace and its limit.
 
     Draws one n x n matrix X from the entry source, then for a family of
-    Hermitian H with ||H||_HS <= r (random small-dimension ball points
-    embedded top-left, the hollow witness, and H = 0) evaluates
+    Hermitian H with ||H||_HS <= r (ball points of random dimension up to
+    d = min(8, n) embedded top-left, the d x d hollow witness, H = 0) evaluates
 
         | tr_n (X/sqrt(n) + n^(1/p) H)^p - semicircle_moment(p) - tr H^p |
 
@@ -254,14 +255,14 @@ def trace_linearization_discrepancy(
     beta = xn.beta
 
     candidates: list[np.ndarray] = [np.zeros((1, 1))]
-    wit_dim = min(max_dim, n)
+    wit_dim = min(8, n)
     wit = np.full((wit_dim, wit_dim), 1.0)
     np.fill_diagonal(wit, 0.0)
     hs = math.sqrt(float(np.sum(wit ** 2)))
     if hs > 0:
         candidates.append(wit * (r / hs))
     for _ in range(int(n_H)):
-        dim = int(rng.integers(1, min(max_dim, n) + 1))
+        dim = int(rng.integers(1, wit_dim + 1))
         candidates.append(_hs_ball_sample(dim, beta, r, rng))
 
     return max(linearization_gap(xn, h, p) for h in candidates)

@@ -16,10 +16,11 @@ __all__ = [
 ]
 
 
-def wilson_interval(hits: int, trials: int, z: float = 3.0) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion at z = 3."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    z = 3.0
     ph = hits / trials
     denom = 1.0 + z * z / trials
     center = (ph + z * z / (2 * trials)) / denom
@@ -27,26 +28,24 @@ def wilson_interval(hits: int, trials: int, z: float = 3.0) -> tuple[float, floa
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def batch_mean_stderr(samples: np.ndarray, n_batches: int | None = None) -> float:
+def batch_mean_stderr(samples: np.ndarray) -> float:
     """Standard error of the mean via batch means (robust to autocorrelation)."""
     x = np.asarray(samples, dtype=float)
     m = x.size
     if m < 4:
         return float(np.std(x, ddof=1) / math.sqrt(m)) if m > 1 else math.inf
-    if n_batches is None:
-        n_batches = max(10, int(math.sqrt(m)))
-    n_batches = min(n_batches, m // 2)
+    n_batches = min(max(10, int(math.sqrt(m))), m // 2)
     L = m // n_batches
     means = x[: n_batches * L].reshape(n_batches, L).mean(axis=1)
     return float(np.std(means, ddof=1) / math.sqrt(n_batches))
 
 
-def geweke_z(samples: np.ndarray, first: float = 0.1, last: float = 0.5) -> float:
-    """Geweke convergence score: z-difference of early vs late segment means."""
+def geweke_z(samples: np.ndarray) -> float:
+    """Geweke convergence score: z-difference of first 10% vs last 50% means."""
     x = np.asarray(samples, dtype=float)
     m = x.size
-    a = x[: max(2, int(first * m))]
-    b = x[-max(2, int(last * m)):]
+    a = x[: max(2, int(0.1 * m))]
+    b = x[-max(2, int(0.5 * m)):]
     se = math.hypot(batch_mean_stderr(a), batch_mean_stderr(b))
     if se == 0.0:
         return 0.0

@@ -20,6 +20,10 @@ def run_cli(tmp_path, command, config, seed=0, fmt="csv", name="out"):
     return code, out
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not valid JSON (RFC 8259)")
+
+
 RATE_CFG = {
     "spec": {"theorem": "gaussian", "p": 4, "params": {"sigma2": 1.0, "beta": 2}, "center": 2.0},
     "grid": {"lo": 2.0, "hi": 4.0, "num": 5},
@@ -51,6 +55,33 @@ class TestRateCommand:
         cfg = {"spec": {"theorem": "nope", "p": 4, "params": {}, "center": 0.0}}
         code, _ = run_cli(tmp_path, "rate", cfg)
         assert code == 2
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"p": 4.5}, "p must be an integer >= 1, got 4.5"),
+        ({"p": "4"}, "p must be an integer >= 1, got '4'"),
+        ({"theorem": "truncated_moment", "p": 0, "params": {"b": 1.0, "alpha": 1.0}, "center": 0.0},
+         "p must be an integer >= 1, got 0"),
+        ({"theorem": "beta_ensemble", "p": 0, "params": {"b": 1.0, "alpha": -1.0}, "center": 0.0},
+         "p must be an integer >= 1, got 0"),
+    ], ids=["p_fractional", "p_string", "truncated_p0", "beta_ensemble_p0"])
+    def test_bad_p_exit_2(self, tmp_path, capsys, spec, message):
+        code, _ = run_cli(tmp_path, "rate", dict(RATE_CFG, spec=dict(RATE_CFG["spec"], **spec)))
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_integral_float_p_accepted(self, tmp_path):
+        _, out = run_cli(tmp_path, "rate", RATE_CFG, name="int")
+        code, out_f = run_cli(tmp_path, "rate", dict(RATE_CFG, spec=dict(RATE_CFG["spec"], p=4.0)), name="float")
+        assert code == 0
+        rows = [[l for l in o.read_text().splitlines() if not l.startswith("# config_hash")] for o in (out, out_f)]
+        assert rows[0] == rows[1]
+
+    def test_json_below_center_is_valid_json(self, tmp_path):
+        cfg = dict(RATE_CFG, grid={"lo": 1.0, "hi": 3.0, "num": 3})
+        code, out = run_cli(tmp_path, "rate", cfg, fmt="json")
+        assert code == 0
+        doc = json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert [r["rate"] for r in doc["rows"]] == ["inf", 0.0, 0.5]
 
 
 class TestVaroptCommand:
@@ -115,12 +146,16 @@ class TestVaroptCommand:
 
 
 class TestVerifyCommand:
-    def test_default_seed_all_pass(self, tmp_path):
+    def test_default_seed_all_pass(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, "verify", {}, fmt="json")
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["all_pass"] is True
-        assert all("seconds" in c for c in doc["checks"])
+        # each check's wall time goes to stderr, so a rerun gives the same bytes
+        timings = capsys.readouterr().err.splitlines()
+        assert [line.split()[0] for line in timings] == [c["check"] for c in doc["checks"]]
+        _, again = run_cli(tmp_path, "verify", {}, fmt="json", name="again")
+        assert again.read_bytes() == out.read_bytes()
 
     def test_tampered_rate_formula_fails(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "rate_value", lambda spec, x: 0.75)
@@ -177,12 +212,19 @@ class TestDeviationsCommand:
         ({"x": 2.0, "method": "planted_is"}, "planted_is is impossible here: x=2.0 is not above the center"),
         ({"p": 4.5}, "p must be an integer, got 4.5"),
         ({"trials": 50.7}, "trials must be an integer, got 50.7"),
+        ({"n_grid": [8.5, 12]}, "n_grid entries must be integers, got [8.5, 12]"),
     ], ids=["method", "offdiag_n1", "diag_n1", "p0", "x_nan", "is_odd_p", "is_x_at_center", "p_fractional",
-            "trials_fractional"])
+            "trials_fractional", "n_grid_fractional"])
     def test_bad_input_exit_2(self, tmp_path, capsys, bad, message):
         code, _ = run_cli(tmp_path, "deviations", dict(self.CFG, **bad))
         assert code == 2
         assert message in capsys.readouterr().err
+
+    def test_json_below_center_is_valid_json(self, tmp_path):
+        code, out = run_cli(tmp_path, "deviations", dict(self.CFG, x=1.5), fmt="json")
+        assert code in (0, 4)
+        doc = json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert doc["meta"]["rate_reference"] == doc["summary"]["rate_reference"] == "inf"
 
     def test_flagged_rows_exit_4(self, tmp_path):
         cfg = dict(self.CFG, x=50.0, trials=50)  # unreachable: zero hits everywhere

@@ -331,7 +331,7 @@ class TestBoundedEntryProbe:
 
     def test_hypothesis_cap_enforced(self):
         with pytest.raises(ValueError, match="m ="):
-            bounded_entry_concentration_probe(16, 4, [3.0], [0.1], 10, seed=24, m_cap=16.0)
+            bounded_entry_concentration_probe(16, 4, [3.0], [0.1], 10, seed=24)
 
 
 class TestSpeedExponent:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -528,6 +529,17 @@ class TestIidOracle:
         est = iid_truncated_tail(pot, 3, N, x, 40_000, seed=9)
         assert abs(est.p_hat - oracle) <= 3.0 * est.stderr + 0.01
 
+    @pytest.mark.parametrize("w_kind, w_coef, digest", [
+        ("zero", 0.0, "85f10ce77a9d294a"),
+        ("abs", 0.5, "57d36cad6cd94a76"),
+    ])
+    def test_matches_recorded_estimate(self, w_kind, w_coef, digest):
+        # alpha = 2 takes the envelope matched to b; recorded before the
+        # single-valued options became constants
+        pot = Potential(b=1.0, alpha=2.0, beta=1.0, w_kind=w_kind, w_coef=w_coef)
+        est = iid_truncated_tail(pot, 3, 32, 4e-4, 500, seed=9)
+        assert hashlib.sha256(repr(dataclasses.asdict(est)).encode()).hexdigest()[:16] == digest
+
 
 class TestConcentrationProbe:
     def test_bound_arithmetic(self):
@@ -546,3 +558,13 @@ class TestConcentrationProbe:
                                              seed=5, burn_in=600, thin=3)
         freqs = [r.frequency for r in rows]
         assert all(b <= a for a, b in zip(freqs, freqs[1:]))
+
+    @pytest.mark.parametrize("f_name, digest", [
+        ("identity_clip", "43b82bcb184c58b1"),
+        ("abs_clip", "d292debf6522fec0"),
+    ])
+    def test_matches_recorded_rows(self, f_name, digest):
+        # the chain spreads past the clip at 10, so the clip shapes the rows
+        pot = Potential(b=0.002, alpha=2.0, beta=1.0)
+        rows = lipschitz_concentration_probe(pot, f_name, 6, [0.0, 0.1, 0.3], 40, seed=6, burn_in=100, thin=2)
+        assert hashlib.sha256(repr([dataclasses.asdict(r) for r in rows]).encode()).hexdigest()[:16] == digest

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -127,6 +128,12 @@ class TestTailLaw:
         x = prof.sample_entries(role, stream(11, 5), 1000)
         assert hashlib.sha256(x.tobytes()).hexdigest()[:16] == digest
 
+    @pytest.mark.parametrize("role, digest", [("offdiagonal", "af805e803955c6be"), ("diagonal", "f1fb836c11bd34d2")])
+    def test_modulus_sample_matches_recorded_draws(self, role, digest):
+        prof = TailProfile(alpha=0.5, a=1.0, b=2.0, t0=2.0, normalize_variance=False)
+        x = prof.modulus_law(role).sample(stream(11, 6), 1000)
+        assert hashlib.sha256(x.tobytes()).hexdigest()[:16] == digest
+
     def test_complex_phase_law(self):
         prof = TailProfile(alpha=1.0, a=1.0, b=1.0, t0=2.0,
                            phase_offdiag="uniform_s1", normalize_variance=False)
@@ -248,6 +255,12 @@ class TestCalibrationReport:
         (row,) = rows
         assert row.ci_low <= 2.0 <= row.ci_high
         assert row.ratio == pytest.approx(2.0, abs=0.3)
+
+    @pytest.mark.parametrize("role, digest", [("offdiagonal", "c857cc6db251d220"), ("diagonal", "7e0d5202c1e59437")])
+    def test_matches_recorded_rows(self, role, digest):
+        prof = TailProfile(alpha=0.5, a=1.0, b=2.0, t0=2.0, normalize_variance=False)
+        rows = tail_calibration_report(prof, 2000, [1.0, 2.5, 9.0], stream(13, 4), role=role)
+        assert hashlib.sha256(repr([dataclasses.asdict(r) for r in rows]).encode()).hexdigest()[:16] == digest
 
     def test_empty_grid(self):
         prof = TailProfile(alpha=1.0, a=1.0, b=1.0, normalize_variance=False)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -211,6 +212,11 @@ class TestLinearization:
     def test_discrepancy_positive_and_finite(self):
         val = trace_linearization_discrepancy(48, 4, 1.0, 4, GaussianProfile(1.0, 1), stream(403, 2))
         assert 0 < val < 10
+
+    def test_discrepancy_matches_recorded_values(self):
+        # n = 4 embeds the witness at full size, n = 12 at its 8 x 8 cap
+        vals = [trace_linearization_discrepancy(n, 4, 1.0, 3, GaussianProfile(1.0, 1), stream(403, 4)) for n in (4, 12)]
+        assert hashlib.sha256(repr(vals).encode()).hexdigest()[:16] == "23436be93cf54270"
 
     def test_median_decreases_with_dimension(self):
         prof = GaussianProfile(1.0, 1)

@@ -21,7 +21,7 @@ class TestWilson:
         p_true, n, misses = 0.07, 400, 0
         for _ in range(300):
             hits = int(rng.binomial(n, p_true))
-            lo, hi = wilson_interval(hits, n, z=3.0)
+            lo, hi = wilson_interval(hits, n)
             misses += not (lo <= p_true <= hi)
         assert misses <= 5  # z=3 band: misses should be rare
 
