@@ -3,8 +3,10 @@
 Two estimators over one trial pass: trial k draws from its own Philox
 stream stream(seed, 1, k), and trials are assembled and evaluated in
 batches of 256, so the batching never changes results.  The pass takes the
-unplanted trace power of each matrix and, when given a plant, plants the
-same matrix and takes its planted trace power and weight as well:
+unplanted trace power of each raw matrix, without a rescaled copy, and,
+when given a plant, hands it a copy of the matrix's 2x2 corner: the plant
+returns the log weight, and the planted trace power is a rank-2 update of
+the unplanted one (O(p n**2) per matrix, no second product over the stack):
 
 * naive       - plain exceedance frequency with a Wilson interval;
 * planted_is  - self-normalized importance sampling whose proposal plants
@@ -17,7 +19,8 @@ same matrix and takes its planted trace power and weight as well:
 The estimators never look at the entry law itself.  They take any profile
 with ``beta``, ``speed(p)``, ``mechanism(p)``, ``rate_spec(p)``,
 ``draw_entries(n, rng)`` and ``proposal(mech, shift)`` (see ``randsrc``),
-whose plant writes only inside the [:2, :2] block of a raw matrix.
+whose plant writes the raw 2x2 corner it is given.  A threshold whose
+planting size or trace powers leave the float range raises ValueError.
 
 Estimates are asymptotic-regime probes: slopes -log p / n**speed are
 reported against the closed-form rate for comparison, with no convergence
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .matcore import trace_powers
+from .matcore import trace_power_corner_updates, trace_powers
 from .rates import rate_value, semicircle_moment
 from .rng import stream
 from .stats import DeviationEstimate, binomial_estimate
@@ -53,7 +56,9 @@ _M_CAP = 16.0
 
 
 def _normalized_trace_powers(mats: np.ndarray, p: int) -> np.ndarray:
-    return trace_powers(mats, p) / mats.shape[-1]
+    """tr_n (M / sqrt(n))**p of every raw matrix M of a stack, without a
+    rescaled copy: tr M**p / n**(p/2 + 1)."""
+    return trace_powers(mats, p) / mats.shape[-1] ** (p / 2 + 1)
 
 
 def _batches(n_trials: int, *path: int):
@@ -67,16 +72,19 @@ def _trial_values(model, n: int, p: int, n_trials: int, seed: int, plant=None):
     """Trace powers tr_n X**p of every trial, each matrix drawn once.
 
     Returns (values, planted, logw).  Without a plant the last two are
-    None.  With one, each trial's matrix is planted after its unplanted
-    value is taken, from the same stream: ``planted`` holds the planted
-    trace powers and ``logw`` the log density ratios.  A plant writes only
-    inside the [:2, :2] block, so only that block is rescaled again.
+    None.  With one, each trial's plant writes a copy of its matrix's
+    [:2, :2] corner, from the same stream, and returns the log density
+    ratio (``logw``).  The planted matrix differs from the unplanted one
+    only in that corner, so ``planted`` is the unplanted value plus the
+    rank-2 update of matcore.trace_power_corner_updates (even p): no
+    planted copy of the matrix is made and no second product is taken.
+    A trace power past the float range comes back non-finite, without a
+    warning.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    root = math.sqrt(n)
     values = np.empty(n_trials)
     planted = logw = None
     if plant is not None:
@@ -84,15 +92,22 @@ def _trial_values(model, n: int, p: int, n_trials: int, seed: int, plant=None):
     for start, rngs in _batches(n_trials, seed, 1):
         stop = start + len(rngs)
         mats = _dense_trial_matrix(model, n, rngs)
-        scaled = mats / root
-        values[start:stop] = _normalized_trace_powers(scaled, p)
-        if plant is not None:
-            for k, rng in enumerate(rngs):
-                logw[start + k] = plant(mats[k], rng)
-            scaled[:, :2, :2] = mats[:, :2, :2] / root
-            planted[start:stop] = _normalized_trace_powers(scaled, p)
-        del mats, scaled  # one batch of matrices alive at a time
+        with np.errstate(over="ignore", invalid="ignore"):  # the estimators raise on non-finite values
+            values[start:stop] = _normalized_trace_powers(mats, p)
+            if plant is not None:
+                corners = mats[:, :2, :2].copy()
+                for k, rng in enumerate(rngs):
+                    logw[start + k] = plant(corners[k], rng)
+                update = trace_power_corner_updates(mats, corners, p)
+                planted[start:stop] = values[start:stop] + update / n ** (p / 2 + 1)
+        del mats  # one batch of matrices alive at a time
     return values, planted, logw
+
+
+def _require_finite(x: float, n: int, *values) -> None:
+    """Raise, naming x and n, if a planting size or trace power left the float range."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise ValueError(f"x={x} at n={n} takes the trace powers beyond the float range")
 
 
 def estimate_tail_naive(
@@ -105,6 +120,7 @@ def estimate_tail_naive(
 ) -> DeviationEstimate:
     """Frequency of {tr_n X_n**p >= x} over independent draws."""
     values, _, _ = _trial_values(model, n, p, n_trials, seed)
+    _require_finite(x, n, values)
     hits = int(np.count_nonzero(values >= x))
     return binomial_estimate(n, x, hits, n_trials, model.speed(p), "naive")
 
@@ -130,9 +146,11 @@ def estimate_tail_planted_is(
         raise ValueError(f"threshold must not be below the center {center}, got x={x}")
     mech = model.mechanism(p)
     theta = (n * delta) ** (1.0 / p) if mech == "diag" else (n * delta / 2.0) ** (1.0 / p)
+    _require_finite(x, n, theta)
     shift = math.sqrt(n) * theta  # raw-entry scale
     plant, weight_var = model.proposal(mech, shift)
     values, planted, logw = _trial_values(model, n, p, n_trials, seed, plant)
+    _require_finite(x, n, values, planted)
 
     hit = planted >= x
     L = float(np.max(logw))
@@ -301,7 +319,7 @@ def bounded_entry_concentration_probe(
             draws = (_truncated_normal(rng, n * (n + 1) // 2) for rng in rngs)
             h = assemble_hermitian(((v[on_diag], np.delete(v, on_diag)) for v in draws), len(rngs), n, 1)
             h[:, 0, 0] += c0
-            vals[start : start + len(rngs)] = _normalized_trace_powers(h / math.sqrt(n), p)
+            vals[start : start + len(rngs)] = _normalized_trace_powers(h, p)
         dev = np.abs(vals - vals.mean())
         for t in t_grid:
             freq = float(np.mean(dev > t))

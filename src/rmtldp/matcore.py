@@ -16,6 +16,7 @@ __all__ = [
     "eigh_diagnostic",
     "tridiagonal_eigvals",
     "trace_powers",
+    "trace_power_corner_updates",
     "trace_power",
     "normalized_trace_power",
     "schatten_norm",
@@ -234,6 +235,43 @@ def trace_powers(mats, p: int) -> np.ndarray:
     if acc is mats or np.iscomplexobj(acc):
         acc = np.abs(acc)  # a real product is squared in place, never the input
     return np.sum(np.square(acc, out=acc), axis=(-2, -1))
+
+
+def trace_power_corner_updates(mats: np.ndarray, corners: np.ndarray, p: int) -> np.ndarray:
+    """tr M'**p - tr M**p for every Hermitian M of a (..., n, n) stack and
+    even p, where M' is M with its leading 2x2 block replaced by the
+    matching Hermitian block of corners (..., 2, 2).  Neither input is written.
+
+    M' = M + U D U^H with U = [e0 e1] and D = corner - M[:2, :2], so
+    det(I - zM') = det(I - zM) det(I - z D G(z)) with G(z) = sum_a z**a
+    (M**a)[:2, :2]; since log det(I - zA) = -sum_k z**k tr A**k / k,
+    tr M'**p - tr M**p = -p [z**p] log det(I - z D G(z)).  For 2x2 blocks
+    det(I - zK) = 1 - z tr K + z**2 det K, and det(D G) = det D det G.  The
+    blocks (M**(i+j))[:2, :2] = R_i R_j^H come from the rows R_a = (M**a)[:2, :]:
+    p/2 - 1 products (2, n) @ (n, n), O(p n**2) per matrix.
+    """
+    if not isinstance(p, (int, np.integer)) or p < 2 or p % 2:
+        raise ValueError(f"p must be a positive even integer, got {p!r}")
+    half = p // 2
+    rows = [mats[..., :2, :]]
+    for _ in range(half - 1):
+        rows.append(rows[-1] @ mats)
+    # blocks[a] = (M**a)[:2, :2] for a = 0 .. p-1
+    blocks = [np.broadcast_to(np.eye(2), corners.shape)] + [r[..., :2] for r in rows]
+    blocks += [rows[-1] @ np.conj(np.swapaxes(r, -1, -2)) for r in rows[: half - 1]]
+    d = corners - mats[..., :2, :2]
+    det_d = (d[..., 0, 0] * d[..., 1, 1] - d[..., 0, 1] * d[..., 1, 0]).real
+    f = [np.ones(det_d.shape)] + [np.zeros(det_d.shape) for _ in range(p)]  # det(I - z D G(z))
+    for a, g in enumerate(blocks):
+        f[a + 1] -= np.einsum("...ij,...ji->...", d, g).real
+        if a + 2 <= p:
+            det_g = sum(blocks[i][..., 0, 0] * blocks[a - i][..., 1, 1]
+                        - blocks[i][..., 0, 1] * blocks[a - i][..., 1, 0] for i in range(a + 1))
+            f[a + 2] += det_d * det_g.real
+    q = [None]  # q[k] = k [z**k] log f
+    for k in range(1, p + 1):
+        q.append(k * f[k] - sum(q[j] * f[k - j] for j in range(1, k)))
+    return -q[p]
 
 
 def trace_power(A: HermMatrix, p: int) -> float:

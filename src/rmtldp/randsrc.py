@@ -297,8 +297,9 @@ class GaussianProfile:
     def proposal(self, mech: str, shift: float):
         """(plant, weight_var): plant(mat, rng) shifts the planted real part
         to shift + sd*z and returns the log density ratio; weight_var is the
-        exact weight variance expm1(shift**2 / sd**2).  plant writes only
-        inside mat[:2, :2]."""
+        exact weight variance expm1(shift**2 / sd**2).  mat is the raw 2x2
+        corner of a matrix (or a whole raw matrix); plant writes only inside
+        mat[:2, :2]."""
         sd = math.sqrt(self.sigma2 if mech == "diag" else 1.0 / self.beta)
         beta = self.beta
 
@@ -414,7 +415,8 @@ class TailProfile:
         """(plant, None): plant(mat, rng) writes a modulus tilted by
         exp(eta t**alpha) toward the shift, with a fresh phase, and returns
         the log density ratio; no closed-form weight variance exists.
-        plant writes only inside mat[:2, :2]."""
+        mat is the raw 2x2 corner of a matrix (or a whole raw matrix); plant
+        writes only inside mat[:2, :2]."""
         law = self.modulus_law("diagonal" if mech == "diag" else "offdiagonal")
         alpha, beta = self.alpha, self.beta
         eta = 0.0

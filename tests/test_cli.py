@@ -220,6 +220,13 @@ class TestDeviationsCommand:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    def test_threshold_beyond_float_range_exit_2(self, tmp_path, capsys):
+        # the planting size n * (x - center) overflows: no NaN rows, no exit 0
+        cfg = dict(self.CFG, n_grid=[4, 5, 6], x=1e308, trials=10, method="planted_is")
+        code, out = run_cli(tmp_path, "deviations", cfg)
+        assert code == 2 and not out.exists()
+        assert "x=1e+308 at n=4 takes the trace powers beyond the float range" in capsys.readouterr().err
+
     def test_json_below_center_is_valid_json(self, tmp_path):
         code, out = run_cli(tmp_path, "deviations", dict(self.CFG, x=1.5), fmt="json")
         assert code in (0, 4)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ from rmtldp.devlab import (
     rate_slope_scan,
 )
 from rmtldp import devlab, randsrc
-from rmtldp.matcore import HermMatrix, normalized_trace_power
+from rmtldp.matcore import HermMatrix, normalized_trace_power, trace_powers
 from rmtldp.randsrc import GaussianProfile, TailProfile
 from rmtldp.rates import semicircle_moment
 from rmtldp.rng import stream
@@ -217,6 +218,54 @@ class TestSinglePass:
         outside[:2, :2] = False
         assert np.array_equal(mats[:, outside], before[:, outside])
         assert not np.array_equal(mats[:, :2, :2], before[:, :2, :2])
+
+
+class TestCornerUpdatePass:
+    """Planted values come from a rank-2 update of the unplanted ones; they
+    equal dense trace powers of the same draws planted in place."""
+
+    @pytest.mark.parametrize("key", ["gauss_diag", "gauss_offdiag", "tail", "tail_complex"])
+    @pytest.mark.parametrize("mech", ["diag", "offdiag"])
+    def test_planted_values_match_dense_path(self, key, mech):
+        if key == "tail_complex":
+            prof = TailProfile.with_feasible_t0(1.0, 1.5, 1.0, phase_offdiag="uniform_s1")
+        else:
+            prof = _single_pass_case(key)[0]
+        n, n_trials, seed = 6, 20, 46
+        for p in (4, 6):
+            plant, _ = prof.proposal(mech, 3.0)
+            values, planted, logw = devlab._trial_values(prof, n, p, n_trials, seed, plant)
+            rngs = [stream(seed, 1, k) for k in range(n_trials)]
+            mats = assemble_wigner_batch(prof, n, rngs)
+            base = trace_powers(mats, p) / n ** (p / 2 + 1)
+            ref_logw = [plant(mats[k], rng) for k, rng in enumerate(rngs)]
+            dense = trace_powers(mats, p) / n ** (p / 2 + 1)
+            assert np.array_equal(values, base) and np.array_equal(logw, ref_logw)
+            assert np.all(np.abs(planted - dense) <= 1e-12 * np.maximum(base, dense))
+            assert not np.array_equal(planted, values)
+
+
+class TestFloatRange:
+    """A threshold whose planting or trace powers leave the float range is
+    rejected by name, never written as NaN rows."""
+
+    @pytest.mark.parametrize("n, x", [(4, 1e308), (64, 7e302)], ids=["theta_inf", "trace_power_inf"])
+    def test_planted_is_rejects(self, n, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"x={x} at n={n} takes the trace powers")):
+                estimate_tail_planted_is(GAUSS2, n, 4, x, 10, seed=47)
+
+    def test_largest_finite_threshold_still_runs(self):
+        est = estimate_tail_planted_is(GAUSS2, 64, 4, 6e302, 10, seed=47)
+        assert est.p_hat == 1.0 and math.isfinite(est.ess)
+
+    def test_naive_rejects_overflowed_trace_power(self, monkeypatch):
+        monkeypatch.setattr(devlab, "_dense_trial_matrix", lambda model, n, rngs: np.full((len(rngs), n, n), 1e200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape("x=3.0 at n=4 takes the trace powers")):
+                estimate_tail_naive(GAUSS2, 4, 4, 3.0, 10, seed=48)
 
 
 class TestSlopeScan:

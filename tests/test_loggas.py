@@ -345,11 +345,12 @@ class TestEquilibriumMoment:
         samples = _chain_samples(Potential(b=0.25, alpha=2.0, beta=1.0), 12, 3, 300, 2, 60, lambda lam: moment(lam, 4))
         assert (float(samples.mean()), batch_mean_stderr(samples), geweke_z(samples)) == (
             2.467206804274297, 0.1404644117817143, -2.450352311785067)
+        # the probe takes exact draws at alpha = 2 (stream (seed, 14)); re-recorded when it left the chain
         rows = lipschitz_concentration_probe(Potential(b=1.0, alpha=2.0, beta=1.0), "sin", 10, [0.0, 0.02], 80,
                                              seed=6, burn_in=300, thin=2)
         assert [(r.t, r.frequency, r.stderr, r.bound, r.violated) for r in rows] == [
-            (0.0, 0.5, 0.05590169943749474, 1.0, False),
-            (0.02, 0.325, 0.05236590016413353, 0.9900498337491681, False),
+            (0.0, 0.5125, 0.055884227425992035, 1.0, False),
+            (0.02, 0.45, 0.05562148865321748, 0.9900498337491681, False),
         ]
 
     def test_returns_moment_estimate(self):
@@ -560,11 +561,31 @@ class TestConcentrationProbe:
         assert all(b <= a for a, b in zip(freqs, freqs[1:]))
 
     @pytest.mark.parametrize("f_name, digest", [
-        ("identity_clip", "43b82bcb184c58b1"),
-        ("abs_clip", "d292debf6522fec0"),
+        ("identity_clip", "f81c8b2e2d75c58a"),
+        ("abs_clip", "d41e3792eed32b59"),
     ])
     def test_matches_recorded_rows(self, f_name, digest):
-        # the chain spreads past the clip at 10, so the clip shapes the rows
+        # the exact draws spread past the clip at 10, so the clip shapes the
+        # rows; re-recorded when the probe left the chain at alpha = 2
         pot = Potential(b=0.002, alpha=2.0, beta=1.0)
         rows = lipschitz_concentration_probe(pot, f_name, 6, [0.0, 0.1, 0.3], 40, seed=6, burn_in=100, thin=2)
         assert hashlib.sha256(repr([dataclasses.asdict(r) for r in rows]).encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("f_name, digest", [
+        ("identity_clip", "17f7c9c5a2871018"),
+        ("sin", "94a9eec52142e16c"),
+    ])
+    def test_chain_rows_match_recorded(self, f_name, digest):
+        # alpha = 4 has no exact sampler, so the chain runs; recorded before
+        # the alpha = 2 probe moved onto exact draws
+        pot = Potential(b=0.5, alpha=4.0, beta=1.0)
+        rows = lipschitz_concentration_probe(pot, f_name, 6, [0.0, 0.05, 0.2], 40, seed=6, burn_in=100, thin=2)
+        assert hashlib.sha256(repr([dataclasses.asdict(r) for r in rows]).encode()).hexdigest()[:16] == digest
+
+    def test_exact_path_ignores_chain_settings(self, monkeypatch):
+        streams = []
+        monkeypatch.setattr(loggas, "stream", lambda *key: streams.append(key) or stream(*key))
+        pot = Potential(b=1.0, alpha=2.0, beta=1.0)
+        a = lipschitz_concentration_probe(pot, "sin", 8, [0.0, 0.05], 50, seed=7, burn_in=300, thin=2)
+        b = lipschitz_concentration_probe(pot, "sin", 8, [0.0, 0.05], 50, seed=7, burn_in=0, thin=9)
+        assert a == b and streams == [(7, 14), (7, 14)]

@@ -14,6 +14,7 @@ from rmtldp.matcore import (
     opnorm,
     schatten_norm,
     trace_power,
+    trace_power_corner_updates,
     trace_powers,
     tridiagonal_eigvals,
 )
@@ -243,6 +244,64 @@ class TestTracePowers:
         for p in (0, -2, 2.0):
             with pytest.raises(ValueError, match="positive integer"):
                 trace_powers(np.eye(3), p)
+
+
+def _planted_copies(beta, n, mech, rng, count=3):
+    """count Hermitian matrices and their corners with one entry (diag) or
+    one Hermitian pair (offdiag) replaced, as the devlab plants do."""
+    mats = np.stack([(_goe if beta == 1 else _gue)(n, rng).matrix for _ in range(count)])
+    corners = mats[:, :2, :2].copy()
+    entry = 2.5 + rng.standard_normal(count)
+    if mech == "diag":
+        corners[:, 0, 0] = entry
+    else:
+        if beta == 2:
+            entry = entry + 1j * rng.standard_normal(count)
+        corners[:, 0, 1], corners[:, 1, 0] = entry, np.conj(entry)
+    planted = mats.copy()
+    planted[:, :2, :2] = corners
+    return mats, corners, planted
+
+
+class TestCornerUpdates:
+    """trace_power_corner_updates against dense trace powers of planted copies."""
+
+    @pytest.mark.parametrize("mech", ["diag", "offdiag"])
+    @pytest.mark.parametrize("n", [2, 3, 17, 64])
+    @pytest.mark.parametrize("beta", [1, 2])
+    def test_matches_dense_planted_copies(self, beta, n, mech):
+        mats, corners, planted = _planted_copies(beta, n, mech, stream(112, beta, n))
+        for p in (2, 4, 6, 8):
+            base, dense = trace_powers(mats, p), trace_powers(planted, p)
+            got = base + trace_power_corner_updates(mats, corners, p)
+            # the update is exact up to rounding on the larger of the two
+            # trace powers; at n = 2 the corner is the whole matrix, and the
+            # sum may cancel below it
+            scale = np.maximum(np.abs(base), np.abs(dense))
+            assert np.all(np.abs(got - dense) <= 1e-12 * scale)
+
+    def test_low_power_closed_form(self):
+        # tr M'**2 - tr M**2 = 2 tr(M[:2, :2] D) + tr D**2 with D = corner - M[:2, :2]
+        mats, corners, _ = _planted_copies(2, 5, "offdiag", stream(113))
+        d = corners - mats[:, :2, :2]
+        ref = (2 * np.einsum("kij,kji->k", mats[:, :2, :2], d) + np.einsum("kij,kji->k", d, d)).real
+        assert np.allclose(trace_power_corner_updates(mats, corners, 2), ref, rtol=1e-14, atol=0)
+
+    def test_unchanged_corner_gives_zero(self):
+        mats = np.stack([_gue(6, stream(114, k)).matrix for k in range(2)])
+        assert np.all(trace_power_corner_updates(mats, mats[:, :2, :2].copy(), 4) == 0.0)
+
+    def test_odd_or_non_integral_p_rejected(self):
+        mats, corners, _ = _planted_copies(1, 4, "diag", stream(116))
+        for p in (0, 3, 4.0):
+            with pytest.raises(ValueError, match="positive even integer"):
+                trace_power_corner_updates(mats, corners, p)
+
+    def test_inputs_never_written(self):
+        mats, corners, _ = _planted_copies(2, 7, "offdiag", stream(115))
+        before = mats.tobytes() + corners.tobytes()
+        trace_power_corner_updates(mats, corners, 6)
+        assert mats.tobytes() + corners.tobytes() == before
 
 
 def _random_tridiagonal(n, count, rng):
