@@ -561,12 +561,25 @@ class TestConcentrationProbe:
         assert all(b <= a for a, b in zip(freqs, freqs[1:]))
 
     @pytest.mark.parametrize("f_name, digest", [
+        ("identity_clip", "43b82bcb184c58b1"),
+        ("abs_clip", "d292debf6522fec0"),
+    ])
+    def test_matches_recorded_rows(self, f_name, digest, monkeypatch):
+        # the chain spreads past the clip at 10, so the clip shapes the rows;
+        # alpha = 2 now takes exact draws, so the chain is forced to keep the
+        # rows recorded from it
+        monkeypatch.setattr(Potential, "is_beta_hermite", property(lambda self: False))
+        pot = Potential(b=0.002, alpha=2.0, beta=1.0)
+        rows = lipschitz_concentration_probe(pot, f_name, 6, [0.0, 0.1, 0.3], 40, seed=6, burn_in=100, thin=2)
+        assert hashlib.sha256(repr([dataclasses.asdict(r) for r in rows]).encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("f_name, digest", [
         ("identity_clip", "f81c8b2e2d75c58a"),
         ("abs_clip", "d41e3792eed32b59"),
     ])
-    def test_matches_recorded_rows(self, f_name, digest):
-        # the exact draws spread past the clip at 10, so the clip shapes the
-        # rows; re-recorded when the probe left the chain at alpha = 2
+    def test_exact_rows_match_recorded(self, f_name, digest):
+        # the exact draws spread past the clip at 10 too; recorded when the
+        # probe left the chain at alpha = 2
         pot = Potential(b=0.002, alpha=2.0, beta=1.0)
         rows = lipschitz_concentration_probe(pot, f_name, 6, [0.0, 0.1, 0.3], 40, seed=6, burn_in=100, thin=2)
         assert hashlib.sha256(repr([dataclasses.asdict(r) for r in rows]).encode()).hexdigest()[:16] == digest
