@@ -125,6 +125,8 @@ def cmd_rate(config: dict, seed: int, out, fmt: str) -> int:
     lo = float(grid.get("lo", spec.center))
     hi = float(grid.get("hi", spec.center + 2.0))
     num = _integral(grid, "num", 41)
+    if num < 1:
+        raise ValueError(f"grid num must be >= 1, got {num}")
     xs = np.linspace(lo, hi, num)
     meta = _meta(config, seed)
     meta["speed"] = speed_exponent(spec)
@@ -164,7 +166,6 @@ def cmd_deviations(config: dict, seed: int, out, fmt: str) -> int:
         trials_per_n=_integral(config, "trials", 2000),
         seed=seed,
         method=config.get("method", "auto"),
-        min_points=1,
     )
     meta = _meta(config, seed)
     meta["rate_reference"] = scan.rate_reference

@@ -4,9 +4,9 @@ Two estimators over one trial pass: trial k draws from its own Philox
 stream stream(seed, 1, k), and trials are assembled and evaluated in
 batches of 256, so the batching never changes results.  The pass takes the
 unplanted trace power of each raw matrix, without a rescaled copy, and,
-when given a plant, hands it a copy of the matrix's 2x2 corner: the plant
-returns the log weight, and the planted trace power is a rank-2 update of
-the unplanted one (O(p n**2) per matrix, no second product over the stack):
+when given a plant, writes the entry it draws into a copy of the matrix's
+2x2 corner: the planted trace power is a rank-2 update of the unplanted
+one (O(p n**2) per matrix, no second product over the stack):
 
 * naive       - plain exceedance frequency with a Wilson interval;
 * planted_is  - self-normalized importance sampling whose proposal plants
@@ -19,8 +19,10 @@ the unplanted one (O(p n**2) per matrix, no second product over the stack):
 The estimators never look at the entry law itself.  They take any profile
 with ``beta``, ``speed(p)``, ``mechanism(p)``, ``rate_spec(p)``,
 ``draw_entries(n, rng)`` and ``proposal(mech, shift)`` (see ``randsrc``),
-whose plant writes the raw 2x2 corner it is given.  A threshold whose
-planting size or trace powers leave the float range raises ValueError.
+whose plant maps the current raw entry to (planted entry, log density
+ratio).  The position is this module's: (1,1) for the "diag" mechanism,
+(1,2) and its conjugate (2,1) for "offdiag".  A threshold whose planting
+size or trace powers leave the float range raises ValueError.
 
 Estimates are asymptotic-regime probes: slopes -log p / n**speed are
 reported against the closed-form rate for comparison, with no convergence
@@ -30,7 +32,7 @@ claim at desk scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
@@ -39,12 +41,11 @@ from .matcore import trace_power_corner_updates, trace_powers
 from .rates import rate_value, semicircle_moment
 from .rng import stream
 from .stats import DeviationEstimate, binomial_estimate
-from .wigner import assemble_hermitian, assemble_wigner_batch as _dense_trial_matrix, triangle_layout
+from .wigner import assemble_hermitian, assemble_wigner_batch as _dense_trial_matrix, spike_size, triangle_layout
 
 __all__ = [
     "estimate_tail_naive",
     "estimate_tail_planted_is",
-    "ScanRow",
     "ScanResult",
     "rate_slope_scan",
     "bounded_entry_concentration_probe",
@@ -72,9 +73,10 @@ def _trial_values(model, n: int, p: int, n_trials: int, seed: int, plant=None):
     """Trace powers tr_n X**p of every trial, each matrix drawn once.
 
     Returns (values, planted, logw).  Without a plant the last two are
-    None.  With one, each trial's plant writes a copy of its matrix's
-    [:2, :2] corner, from the same stream, and returns the log density
-    ratio (``logw``).  The planted matrix differs from the unplanted one
+    None.  With one, each trial's plant draws, from the same stream, an
+    entry and its log density ratio (``logw``); _plant_corner writes the
+    entry into a copy of the matrix's [:2, :2] corner, at the position of
+    model.mechanism(p).  The planted matrix differs from the unplanted one
     only in that corner, so ``planted`` is the unplanted value plus the
     rank-2 update of matcore.trace_power_corner_updates (even p): no
     planted copy of the matrix is made and no second product is taken.
@@ -89,6 +91,7 @@ def _trial_values(model, n: int, p: int, n_trials: int, seed: int, plant=None):
     planted = logw = None
     if plant is not None:
         planted, logw = np.empty(n_trials), np.empty(n_trials)
+        mech = model.mechanism(p)
     for start, rngs in _batches(n_trials, seed, 1):
         stop = start + len(rngs)
         mats = _dense_trial_matrix(model, n, rngs)
@@ -97,11 +100,22 @@ def _trial_values(model, n: int, p: int, n_trials: int, seed: int, plant=None):
             if plant is not None:
                 corners = mats[:, :2, :2].copy()
                 for k, rng in enumerate(rngs):
-                    logw[start + k] = plant(corners[k], rng)
+                    logw[start + k] = _plant_corner(corners[k], mech, plant, rng)
                 update = trace_power_corner_updates(mats, corners, p)
                 planted[start:stop] = values[start:stop] + update / n ** (p / 2 + 1)
         del mats  # one batch of matrices alive at a time
     return values, planted, logw
+
+
+def _plant_corner(mat: np.ndarray, mech: str, plant, rng) -> float:
+    """Write plant's draw into a raw matrix or its 2x2 corner: at (1,1) for
+    "diag", at (1,2) and conjugated at (2,1) for "offdiag"; returns logw."""
+    if mech == "diag":
+        mat[0, 0], logw = plant(mat[0, 0], rng)
+    else:
+        mat[0, 1], logw = plant(mat[0, 1], rng)
+        mat[1, 0] = np.conj(mat[0, 1])
+    return logw
 
 
 def _require_finite(x: float, n: int, *values) -> None:
@@ -145,7 +159,7 @@ def estimate_tail_planted_is(
     if delta < 0:
         raise ValueError(f"threshold must not be below the center {center}, got x={x}")
     mech = model.mechanism(p)
-    theta = (n * delta) ** (1.0 / p) if mech == "diag" else (n * delta / 2.0) ** (1.0 / p)
+    theta = spike_size(n, delta, p, mech == "diag")
     _require_finite(x, n, theta)
     shift = math.sqrt(n) * theta  # raw-entry scale
     plant, weight_var = model.proposal(mech, shift)
@@ -180,21 +194,8 @@ def estimate_tail_planted_is(
 
 
 @dataclass
-class ScanRow:
-    n: int
-    slope: float | None
-    ci_low: float
-    ci_high: float
-    p_hat: float
-    method: str
-    flagged: bool
-    ess: float | None = None
-    stderr: float = 0.0
-
-
-@dataclass
 class ScanResult:
-    rows: list[ScanRow]
+    rows: list[DeviationEstimate]
     p: int
     x: float
     rate_reference: float | None
@@ -219,7 +220,6 @@ def rate_slope_scan(
     trials_per_n: int,
     seed: int = 0,
     method: str = "auto",
-    min_points: int = 3,
 ) -> ScanResult:
     """Speed-normalized slope -log p_hat / n**speed across a dimension grid.
 
@@ -227,11 +227,10 @@ def rate_slope_scan(
     switches to planted importance sampling otherwise (even p above the
     center).  Where the switch is possible, auto draws each trial once:
     one planted IS pass, whose unplanted hits (notes["naive_hits"]) give
-    the naive estimate it keeps.  Rows without hits come back flagged.
-    Bad method, x or p raises ValueError, as does planted_is where it is
-    impossible (odd p, or x at or below the center).
-    A trend summary needs at least 3 grid points; callers that only want
-    per-n rows may pass min_points=1.
+    the naive estimate it keeps.  The rows are those estimates; one with
+    p_hat = 0 comes back flagged and without an ESS.  Bad method, x, p or
+    grid (empty or not ascending) raises ValueError, as does planted_is
+    where it is impossible (odd p, or x at or below the center).
     """
     if method not in ("auto", "naive", "planted_is"):
         raise ValueError(f"method must be auto, naive or planted_is, got {method!r}")
@@ -242,8 +241,8 @@ def rate_slope_scan(
            for v in n_grid):
         raise ValueError(f"n_grid entries must be integers, got {n_grid!r}")
     n_grid = [int(v) for v in n_grid]
-    if len(n_grid) < min_points or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ValueError(f"n_grid must be ascending with at least {min_points} points")
+    if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
+        raise ValueError(f"n_grid must be non-empty and ascending, got {n_grid!r}")
     speed = model.speed(p)
     center = semicircle_moment(p)
     plantable = p % 2 == 0 and x > center
@@ -259,11 +258,7 @@ def rate_slope_scan(
             hits = est.notes["naive_hits"]
             if method == "auto" and hits >= 10:
                 est = binomial_estimate(n, x, hits, trials_per_n, speed, "naive")
-        if est.p_hat <= 0.0:
-            rows.append(ScanRow(n, None, math.inf, math.inf, 0.0, est.method, True))
-            continue
-        lo, hi = est.slope_interval(speed)
-        rows.append(ScanRow(n, est.slope, lo, hi, est.p_hat, est.method, est.flagged, est.ess, est.stderr))
+        rows.append(est if est.p_hat > 0.0 else replace(est, flagged=True, ess=None))
 
     rate_spec = model.rate_spec(p)
     ref = rate_value(rate_spec, x) if rate_spec is not None else None

@@ -138,15 +138,13 @@ class GasState:
     window_proposals: int = 0
 
     @classmethod
-    def initial(cls, potential: Potential, N: int, seed: int, step: float | None = None) -> "GasState":
+    def initial(cls, potential: Potential, N: int, seed: int) -> "GasState":
         if N < 2:
             raise ValueError("N must be >= 2")
         # start spread across the scale where N*V ~ 1 particle-wise
         radius = max(1.0, (2.0 / potential.b) ** (1.0 / potential.alpha))
         lam = np.linspace(-radius, radius, N)
-        if step is None:
-            step = 0.5 / math.sqrt(N)
-        return cls(lambdas=lam, step=float(step), rng=stream(seed, 7, 0))
+        return cls(lambdas=lam, step=0.5 / math.sqrt(N), rng=stream(seed, 7, 0))
 
     @property
     def acceptance_rate(self) -> float:
@@ -255,6 +253,8 @@ def run_chain(
     Tuning windows end where state.sweep_count is a multiple of
     _TUNE_INTERVAL, and the open window's counts live in the state, so
     tuned runs of a and b sweeps equal one tuned run of a + b."""
+    if n_sweeps < 0:
+        raise ValueError(f"sweeps must be >= 0, got {n_sweeps}")
     for _ in range(n_sweeps):
         a0, p0 = state.accept_count, state.proposal_count
         mcmc_sweep(state, potential)

@@ -2,7 +2,9 @@
 
 A profile owns every fact about its entry law that the estimators use:
 ``beta``, ``speed(p)``, ``mechanism(p)``, ``rate_spec(p)``,
-``draw_entries(n, rng)`` and ``proposal(mech, shift)``.  Two families:
+``draw_entries(n, rng)`` and ``proposal(mech, shift)``, whose plant maps
+a raw entry to (planted entry, log density ratio); the estimators place it.
+Two families:
 
 * GaussianProfile - centered Gaussian entries, diagonal variance sigma2,
   off-diagonal second absolute moment 1 (real for beta=1, complex for
@@ -281,8 +283,9 @@ class GaussianProfile:
         wins ties)."""
         return "diag" if 1.0 / self.sigma2 <= self.beta / 2.0 else "offdiag"
 
-    def rate_spec(self, p: int) -> RateSpec:
-        return RateSpec.for_gaussian(p, self.sigma2, self.beta)
+    def rate_spec(self, p: int) -> RateSpec | None:
+        """Closed-form rate for p >= 3; None below, where none is known."""
+        return RateSpec.for_gaussian(p, self.sigma2, self.beta) if p >= 3 else None
 
     def draw_entries(self, n: int, rng: np.random.Generator):
         """Diagonal (n,) and strict upper triangle (n(n-1)/2,) of one raw
@@ -295,24 +298,19 @@ class GaussianProfile:
         return z[:n] * math.sqrt(self.sigma2), (z[n : n + m] + 1j * z[n + m :]) / math.sqrt(2.0)
 
     def proposal(self, mech: str, shift: float):
-        """(plant, weight_var): plant(mat, rng) shifts the planted real part
-        to shift + sd*z and returns the log density ratio; weight_var is the
-        exact weight variance expm1(shift**2 / sd**2).  mat is the raw 2x2
-        corner of a matrix (or a whole raw matrix); plant writes only inside
-        mat[:2, :2]."""
+        """(plant, weight_var): plant(entry, rng) returns the raw entry with
+        its real part redrawn as shift + sd*z (a complex off-diagonal entry
+        keeps its imaginary part) and the log density ratio; weight_var is
+        the exact weight variance expm1(shift**2 / sd**2)."""
         sd = math.sqrt(self.sigma2 if mech == "diag" else 1.0 / self.beta)
-        beta = self.beta
+        keep_imag = mech != "diag" and self.beta == 2
 
-        def plant(mat: np.ndarray, rng: np.random.Generator) -> float:
+        def plant(entry, rng: np.random.Generator):
             z = float(rng.standard_normal())
-            entry = shift + sd * z
-            if mech == "diag":
-                mat[0, 0] = entry
-            else:
-                new = entry + 1j * mat[0, 1].imag if beta == 2 else entry
-                mat[0, 1] = new
-                mat[1, 0] = np.conj(new)
-            return -shift * shift / (2.0 * sd * sd) - shift * z / sd
+            new = shift + sd * z
+            if keep_imag:
+                new = new + 1j * entry.imag
+            return new, -shift * shift / (2.0 * sd * sd) - shift * z / sd
 
         with np.errstate(over="ignore"):  # inf is the honest variance past the float range
             weight_var = float(np.expm1(shift * shift / (sd * sd)))
@@ -412,11 +410,10 @@ class TailProfile:
         return self.sample_entries("diagonal", rng, n), self.sample_entries("offdiagonal", rng, n * (n - 1) // 2)
 
     def proposal(self, mech: str, shift: float):
-        """(plant, None): plant(mat, rng) writes a modulus tilted by
-        exp(eta t**alpha) toward the shift, with a fresh phase, and returns
-        the log density ratio; no closed-form weight variance exists.
-        mat is the raw 2x2 corner of a matrix (or a whole raw matrix); plant
-        writes only inside mat[:2, :2]."""
+        """(plant, None): plant(entry, rng) ignores the current entry and
+        returns a modulus tilted by exp(eta t**alpha) toward the shift, with
+        a fresh sign or phase, and the log density ratio; no closed-form
+        weight variance exists."""
         law = self.modulus_law("diagonal" if mech == "diag" else "offdiagonal")
         alpha, beta = self.alpha, self.beta
         eta = 0.0
@@ -424,17 +421,15 @@ class TailProfile:
             eta = max(0.0, min(law.c - math.log(2.0) / shift ** alpha, 0.95 * law.c))
         log_Z = math.log(law.tilt_normalizer(eta))
 
-        def plant(mat: np.ndarray, rng: np.random.Generator) -> float:
+        def plant(entry, rng: np.random.Generator):
             t = float(law.sample_tilted(eta, rng, 1)[0])
             if mech == "diag":
-                mat[0, 0] = (1.0 if rng.random() < 0.5 else -1.0) * t
+                phase = 1.0 if rng.random() < 0.5 else -1.0
+            elif beta == 1:
+                phase = -1.0 if rng.random() < 0.5 else 1.0
             else:
-                phase = 1.0 if beta == 1 else np.exp(2j * np.pi * rng.random())
-                if beta == 1 and rng.random() < 0.5:
-                    phase = -1.0
-                mat[0, 1] = phase * t
-                mat[1, 0] = np.conj(phase * t)
-            return log_Z - eta * t ** alpha
+                phase = np.exp(2j * np.pi * rng.random())
+            return phase * t, log_Z - eta * t ** alpha
 
         return plant, None
 

@@ -34,6 +34,7 @@ __all__ = [
 
 _ENTRY_FLOOR = 1e-8  # |entries| are kept above this; |x|**alpha has no gradient at 0
 _MAX_SUPPORT = 6  # support entries of a random restart
+_DESCENT_ITERS = 240  # gradient steps of each descent
 
 
 class CertificateError(RuntimeError):
@@ -52,13 +53,12 @@ def cost_I(A: HermMatrix, a: float, b: float, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class SparseHermCandidate:
-    """Feasible point: support entries (upper triangle), its cost and
-    constraint value."""
+    """Feasible point at tr A**p = 1: support entries (upper triangle) and
+    its cost."""
 
     n: int
     support: tuple
     cost: float
-    constraint: float
 
     def matrix(self) -> HermMatrix:
         support, values = [(i, j) for i, j, _ in self.support], [v for *_, v in self.support]
@@ -73,7 +73,7 @@ def _assemble(support, values, n) -> np.ndarray:
     return mat
 
 
-def _descend(supports, values, p, a, b, alpha, n_max, iters=240):
+def _descend(supports, values, p, a, b, alpha, n_max):
     """Gradient descent on the scale-invariant objective
     I(A) / (tr A^p)^(alpha/p) with backtracking, then rescale to the
     constraint, for all restarts in lockstep.  Each restart is padded to an
@@ -114,7 +114,7 @@ def _descend(supports, values, p, a, b, alpha, n_max, iters=240):
 
     f, g, _ = objective(np.arange(count), vals)
     active, eta = np.isfinite(f), np.full(count, 0.1)  # f stays inf where the start is infeasible
-    for _ in range(iters):
+    for _ in range(_DESCENT_ITERS):
         live = np.flatnonzero(active)
         if live.size == 0:
             break
@@ -251,7 +251,7 @@ def solve_rate_constant(
                 f"for alpha={alpha}, a={a}, b={b}, p={p}"
             )
 
-    argmin = SparseHermCandidate(n=best_n, support=best_support, cost=best_cost, constraint=1.0)
+    argmin = SparseHermCandidate(n=best_n, support=best_support, cost=best_cost)
     kept = sum(res is not None for res in results)
     return CpResult(alpha, a, b, p, best_cost, argmin, bracket, cert_ok, len(supports), kept)
 

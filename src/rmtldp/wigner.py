@@ -18,6 +18,7 @@ __all__ = [
     "TruncationSplit",
     "truncation_split",
     "count_nonzero",
+    "spike_size",
     "PlantSpec",
     "plant_deformation",
     "LowRankTraceCheck",
@@ -143,10 +144,16 @@ def count_nonzero(C: HermMatrix) -> int:
     return int(np.count_nonzero(C.matrix))
 
 
+def spike_size(n: int, delta: float, p: int, diagonal: bool) -> float:
+    """Normalized size theta of a planted diagonal spike, (n*delta)**(1/p),
+    or of each entry of an off-diagonal pair, (n*delta/2)**(1/p)."""
+    return (n * delta if diagonal else n * delta / 2.0) ** (1.0 / p)
+
+
 @dataclass(frozen=True)
 class PlantSpec:
-    """Deformation shape and size: a diagonal spike of (n*delta)**(1/p) or
-    an off-diagonal Hermitian pair of (n*delta/2)**(1/p)."""
+    """Deformation shape, a diagonal spike or an off-diagonal Hermitian
+    pair, and trace excess delta; theta(n) is its spike_size."""
 
     shape: str
     delta: float
@@ -161,9 +168,7 @@ class PlantSpec:
             raise ValueError(f"p must be >= 3, got {self.p}")
 
     def theta(self, n: int) -> float:
-        if self.shape == "diag_spike":
-            return (n * self.delta) ** (1.0 / self.p)
-        return (n * self.delta / 2.0) ** (1.0 / self.p)
+        return spike_size(n, self.delta, self.p, self.shape == "diag_spike")
 
 
 def plant_deformation(X_N: HermMatrix, spec: PlantSpec) -> HermMatrix:

@@ -56,6 +56,11 @@ class TestRateCommand:
         code, _ = run_cli(tmp_path, "rate", cfg)
         assert code == 2
 
+    def test_empty_grid_exit_2(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, "rate", dict(RATE_CFG, grid={"num": 0}))
+        assert code == 2 and not out.exists()
+        assert "grid num must be >= 1, got 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("spec, message", [
         ({"p": 4.5}, "p must be an integer >= 1, got 4.5"),
         ({"p": "4"}, "p must be an integer >= 1, got '4'"),
@@ -233,6 +238,27 @@ class TestDeviationsCommand:
         doc = json.loads(out.read_text(), parse_constant=_reject_constant)
         assert doc["meta"]["rate_reference"] == doc["summary"]["rate_reference"] == "inf"
 
+    def test_auto_artifact_bytes(self, tmp_path):
+        # rows: a kept naive estimate (n=2), planted IS (n=4) and a zero-hit IS row (n=16), whose
+        # bounded entries cannot reach x; recorded before scan rows became the estimates
+        cfg = {"model": {"kind": "tail", "alpha": 1.0, "a": 20.0, "b": 20.0, "t0": 2.0, "normalize_variance": False},
+               "n_grid": [2, 4, 16], "p": 4, "x": 4.0, "trials": 200, "method": "auto"}
+        code, out = run_cli(tmp_path, "deviations", cfg, fmt="json")
+        assert code == 4
+        rows = json.loads(out.read_text())["rows"]
+        assert [(r[4], r[5] > 0) for r in rows] == [("naive", True), ("planted_is", True), ("planted_is", False)]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "27fc60168a2633ed81ad59d56dc8c0ebb10a1cb8b20fcc82fe489e933d11622d")
+
+    def test_gaussian_below_p3_has_no_reference(self, tmp_path):
+        cfg = dict(self.CFG, model={"kind": "gaussian", "sigma2": 1.0, "beta": 1}, n_grid=[4, 6], p=2, x=1.5,
+                   trials=200, method="auto")
+        code, out = run_cli(tmp_path, "deviations", cfg, fmt="json")
+        assert code in (0, 4)
+        doc = json.loads(out.read_text())
+        assert len(doc["rows"]) == 2
+        assert doc["meta"]["rate_reference"] is None and doc["summary"]["rate_reference"] is None
+
     def test_flagged_rows_exit_4(self, tmp_path):
         cfg = dict(self.CFG, x=50.0, trials=50)  # unreachable: zero hits everywhere
         code, out = run_cli(tmp_path, "deviations", cfg)
@@ -308,9 +334,10 @@ class TestSampleCommand:
     @pytest.mark.parametrize("bad, message", [
         ({"N": 8.5}, "N must be an integer, got 8.5"),
         ({"sweeps": 2.5}, "sweeps must be an integer, got 2.5"),
+        ({"sweeps": -5}, "sweeps must be >= 0, got -5"),
         ({"what": "wigner", "model": {"kind": "gaussian", "sigma2": 1.0, "beta": 1}, "n": "16"},
          "n must be an integer, got '16'"),
-    ], ids=["N_fractional", "sweeps_fractional", "n_string"])
+    ], ids=["N_fractional", "sweeps_fractional", "sweeps_negative", "n_string"])
     def test_non_integral_count_exit_2(self, tmp_path, capsys, bad, message):
         cfg = dict({"what": "loggas", "potential": {"b": 0.25, "alpha": 2.0, "beta": 1.0}, "N": 8, "sweeps": 5}, **bad)
         code, _ = run_cli(tmp_path, "sample", cfg, fmt="json")

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from rmtldp.devlab import (
-    ScanRow,
     bounded_entry_concentration_probe,
     estimate_tail_naive,
     estimate_tail_planted_is,
@@ -143,7 +142,7 @@ class TestInputEdges:
         with pytest.raises(ValueError, match="n must be >= 2"):
             estimator(prof, 1, 4, 3.0, 10)
         with pytest.raises(ValueError, match="n must be >= 2"):
-            rate_slope_scan(prof, 4, 3.0, [1], 10, min_points=1)
+            rate_slope_scan(prof, 4, 3.0, [1], 10)
 
     @pytest.mark.parametrize("bad, message", [
         ({"method": "bogus"}, "method must be auto, naive or planted_is"),
@@ -155,7 +154,7 @@ class TestInputEdges:
         ({"x": 2.0, "method": "planted_is"}, "planted_is is impossible here: x=2.0 is not above the center"),
     ])
     def test_scan_rejects_bad_input(self, bad, message):
-        args = dict(dict(p=4, x=3.0, n_grid=[8], trials_per_n=10, min_points=1), **bad)
+        args = dict(dict(p=4, x=3.0, n_grid=[8], trials_per_n=10), **bad)
         with pytest.raises(ValueError, match=message):
             rate_slope_scan(GAUSS2, **args)
 
@@ -189,7 +188,7 @@ class TestSinglePass:
             return stream(*path)
 
         monkeypatch.setattr(devlab, "stream", counting_stream)
-        scan = rate_slope_scan(GAUSS2, 4, 3.0, [8, 16], 300, seed=41, min_points=1)
+        scan = rate_slope_scan(GAUSS2, 4, 3.0, [8, 16], 300, seed=41)
         assert [r.method for r in scan.rows] == ["naive", "planted_is"]
         assert len(paths) == 600
         assert sorted(paths) == [(41 + i, 1, k) for i in range(2) for k in range(300)]
@@ -201,9 +200,7 @@ class TestSinglePass:
             est = estimator(prof, 8, 4, x, 300, seed=42)
             naive_hits = estimate_tail_naive(prof, 8, 4, x, 300, seed=42).hits
             assert (naive_hits >= 10) == (estimator is estimate_tail_naive)
-            lo, hi = est.slope_interval(prof.speed(4))
-            row = ScanRow(8, est.slope, lo, hi, est.p_hat, est.method, est.flagged, est.ess, est.stderr)
-            assert rate_slope_scan(prof, 4, x, [8], 300, seed=42, min_points=1).rows == [row]
+            assert rate_slope_scan(prof, 4, x, [8], 300, seed=42).rows == [est]
 
     @pytest.mark.parametrize("key", ["gauss_diag", "gauss_offdiag", "tail"])
     @pytest.mark.parametrize("mech", ["diag", "offdiag"])
@@ -213,7 +210,7 @@ class TestSinglePass:
         before = mats.copy()
         plant, _ = prof.proposal(mech, 2.5)
         for k in range(len(mats)):
-            plant(mats[k], stream(44, k))
+            devlab._plant_corner(mats[k], mech, plant, stream(44, k))
         outside = np.ones((5, 5), dtype=bool)
         outside[:2, :2] = False
         assert np.array_equal(mats[:, outside], before[:, outside])
@@ -226,11 +223,12 @@ class TestCornerUpdatePass:
 
     @pytest.mark.parametrize("key", ["gauss_diag", "gauss_offdiag", "tail", "tail_complex"])
     @pytest.mark.parametrize("mech", ["diag", "offdiag"])
-    def test_planted_values_match_dense_path(self, key, mech):
+    def test_planted_values_match_dense_path(self, key, mech, monkeypatch):
         if key == "tail_complex":
             prof = TailProfile.with_feasible_t0(1.0, 1.5, 1.0, phase_offdiag="uniform_s1")
         else:
             prof = _single_pass_case(key)[0]
+        monkeypatch.setattr(type(prof), "mechanism", lambda self, p: mech)  # plant at both positions
         n, n_trials, seed = 6, 20, 46
         for p in (4, 6):
             plant, _ = prof.proposal(mech, 3.0)
@@ -238,7 +236,7 @@ class TestCornerUpdatePass:
             rngs = [stream(seed, 1, k) for k in range(n_trials)]
             mats = assemble_wigner_batch(prof, n, rngs)
             base = trace_powers(mats, p) / n ** (p / 2 + 1)
-            ref_logw = [plant(mats[k], rng) for k, rng in enumerate(rngs)]
+            ref_logw = [devlab._plant_corner(mats[k], mech, plant, rng) for k, rng in enumerate(rngs)]
             dense = trace_powers(mats, p) / n ** (p / 2 + 1)
             assert np.array_equal(values, base) and np.array_equal(logw, ref_logw)
             assert np.all(np.abs(planted - dense) <= 1e-12 * np.maximum(base, dense))
@@ -288,11 +286,10 @@ class TestSlopeScan:
         assert scan.last_slope == scan.rows[-1].slope
 
     def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            rate_slope_scan(GAUSS2, 4, 2.4, [8, 8, 16], 100, seed=19)
-        with pytest.raises(ValueError):
-            rate_slope_scan(GAUSS2, 4, 2.4, [8, 16], 100, seed=19)
-        rate_slope_scan(GAUSS2, 4, 2.4, [8, 16], 100, seed=19, min_points=1)
+        for grid in ([8, 8, 16], [16, 8], []):
+            with pytest.raises(ValueError, match="n_grid must be non-empty and ascending"):
+                rate_slope_scan(GAUSS2, 4, 2.4, grid, 100, seed=19)
+        assert len(rate_slope_scan(GAUSS2, 4, 2.4, [8, 16], 100, seed=19).rows) == 2
 
 
 class StubProfile:
@@ -320,10 +317,9 @@ class StubProfile:
     def proposal(self, mech, shift):
         sd = self.sd
 
-        def plant(mat, rng):
+        def plant(entry, rng):
             z = float(rng.standard_normal())
-            mat[0, 0] = shift + sd * z
-            return -shift * shift / (2.0 * sd * sd) - shift * z / sd
+            return shift + sd * z, -shift * shift / (2.0 * sd * sd) - shift * z / sd
 
         return plant, None  # no closed form: empirical weight-mean error
 
@@ -342,22 +338,24 @@ class TestProfileInterface:
         assert got == ref and got["notes"]["mechanism"] == "diag"
 
     def test_stub_profile_runs_scan(self):
-        stub = rate_slope_scan(StubProfile(), 4, 2.6, [6, 8], 300, seed=32, min_points=1)
-        ref = rate_slope_scan(self.GAUSS, 4, 2.6, [6, 8], 300, seed=32, min_points=1)
-        assert stub.rows == ref.rows
+        stub = rate_slope_scan(StubProfile(), 4, 2.6, [6, 8], 300, seed=32)
+        ref = rate_slope_scan(self.GAUSS, 4, 2.6, [6, 8], 300, seed=32)
+        assert len(stub.rows) == len(ref.rows) == 2
+        for a, b in zip(stub.rows, ref.rows):  # the stub's weight-mean error is empirical
+            assert dataclasses.replace(a, weight_mean_se=None) == dataclasses.replace(b, weight_mean_se=None)
         assert stub.rate_reference is None and ref.rate_reference > 0.0
 
     @pytest.mark.parametrize("alpha, p, x", [(0.5, 4, 3.0), (1.0, 4, 3.0), (1.0, 6, 6.0)])
     def test_tail_scan_reports_closed_form_reference(self, alpha, p, x):
         prof = TailProfile(alpha=alpha, a=1.0, b=1.5, normalize_variance=False)
-        scan = rate_slope_scan(prof, p, x, [6], 50, seed=33, method="naive", min_points=1)
+        scan = rate_slope_scan(prof, p, x, [6], 50, seed=33, method="naive")
         c = min(1.5, 2.0 ** (-alpha / p))
         assert scan.rate_reference == pytest.approx(c * (x - semicircle_moment(p)) ** (alpha / p), rel=1e-12)
 
     @pytest.mark.parametrize("alpha, p", [(1.5, 4), (1.0, 5)])
     def test_tail_scan_without_closed_form_reports_none(self, alpha, p):
         prof = TailProfile(alpha=alpha, a=1.0, b=1.5, normalize_variance=False)
-        scan = rate_slope_scan(prof, p, 3.0, [6], 50, seed=34, method="naive", min_points=1)
+        scan = rate_slope_scan(prof, p, 3.0, [6], 50, seed=34, method="naive")
         assert scan.rate_reference is None
 
 
@@ -513,10 +511,13 @@ class TestGoldenBytes:
         assert _exact_zero_digest() == "608d14aec99a7c3c"
 
     def test_scan_rows(self):
-        gauss = rate_slope_scan(_golden_profile("gauss_1_2"), 4, 3.0, [6, 8], 300, seed=14, min_points=1)
-        tail = rate_slope_scan(_golden_profile("tail_rademacher_b1_alpha1"), 4, 3.0, [6, 8], 300, seed=14,
-                               min_points=1)
-        assert _digest([dataclasses.asdict(r) for r in gauss.rows + tail.rows]) == "9ec79d29399bf846"
+        gauss = rate_slope_scan(_golden_profile("gauss_1_2"), 4, 3.0, [6, 8], 300, seed=14)
+        tail = rate_slope_scan(_golden_profile("tail_rademacher_b1_alpha1"), 4, 3.0, [6, 8], 300, seed=14)
+        rows = gauss.rows + tail.rows
+        # the fields the old scan-row record carried, recorded before rows became the estimates
+        projected = [(r.n, r.slope, r.p_hat, r.method, r.flagged, r.ess, r.stderr) for r in rows]
+        assert _digest(projected) == "a72794a3fe2721e6"
+        assert _digest([dataclasses.asdict(r) for r in rows]) == "e7f698cf0f72ca92"
         assert _digest(gauss.summary()) == "435b49cb181fb76f"
 
     def test_bounded_probe_rows(self):

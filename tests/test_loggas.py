@@ -182,7 +182,8 @@ class TestMetropolisKernel:
 
     def test_zero_step_accepts_everything(self):
         pot = Potential(b=1.0, alpha=2.0, beta=1.0)
-        state = GasState.initial(pot, 8, seed=1, step=0.0)
+        state = GasState.initial(pot, 8, seed=1)
+        state.step = 0.0
         before = state.lambdas.copy()
         mcmc_sweep(state, pot)
         assert np.array_equal(state.lambdas, before)

@@ -199,6 +199,10 @@ class TestProfileInterface:
             assert prof.rate_spec(5) is None
         assert TailProfile(alpha=1.5, a=1.0, b=1.0, normalize_variance=False).rate_spec(4) is None
 
+    def test_gaussian_rate_spec_none_below_p3(self):
+        assert GaussianProfile(sigma2=1.0, beta=1).rate_spec(2) is None
+        assert GaussianProfile(sigma2=1.0, beta=1).rate_spec(3).p == 3
+
     @pytest.mark.parametrize("prof", PROFILES)
     def test_mechanism_is_the_cheaper_channel(self, prof):
         spec = prof.rate_spec(4)

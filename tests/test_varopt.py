@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rmtldp.matcore import HermMatrix, trace_powers
+from rmtldp import varopt
 from rmtldp.rng import stream
 from rmtldp.varopt import (
     SparseHermCandidate,
@@ -185,9 +186,10 @@ class TestLockstepDescent:
                   1.3173656123517816]),
         (6, 1.5, [1.3, 0.9882227668454693, 0.9787020126838966, 1.2494319430127232, 1.3, 1.3053807265219528]),
     ])
-    def test_short_descent_matches_one_matrix_steps(self, p, alpha, expected):
+    def test_short_descent_matches_one_matrix_steps(self, p, alpha, expected, monkeypatch):
+        monkeypatch.setattr(varopt, "_DESCENT_ITERS", 8)
         supports, starts = _random_restarts(6, 6, 530 + p)
-        got = [None if res is None else res[0] for res in _descend(supports, starts, p, 1.0, 1.3, alpha, 6, iters=8)]
+        got = [None if res is None else res[0] for res in _descend(supports, starts, p, 1.0, 1.3, alpha, 6)]
         assert [g is None for g in got] == [e is None for e in expected]
         for g, e in zip(got, expected):
             if e is not None:
@@ -240,6 +242,6 @@ class TestInnerMinimum:
 
 class TestCandidateType:
     def test_matrix_roundtrip(self):
-        cand = SparseHermCandidate(n=3, support=((0, 1, 0.5), (2, 2, -0.25)), cost=1.0, constraint=1.0)
+        cand = SparseHermCandidate(n=3, support=((0, 1, 0.5), (2, 2, -0.25)), cost=1.0)
         m = cand.matrix().matrix
         assert m[0, 1] == 0.5 and m[1, 0] == 0.5 and m[2, 2] == -0.25
