@@ -68,6 +68,14 @@ def _integral(config: dict, key: str, default=None) -> int:
     return int(value)
 
 
+def _boolean(config: dict, key: str) -> bool:
+    """config[key] (default false) as a JSON boolean; any other value is invalid, not truthy."""
+    value = config.get(key, False)
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _write(out: str | None, text: str) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -200,7 +208,7 @@ def cmd_sample(config: dict, seed: int, out, fmt: str) -> int:
         else:
             potential = Potential.from_json(config["potential"])
             state = GasState.initial(potential, _integral(config, "N"), seed)
-        run_chain(state, potential, sweeps, tune=bool(config.get("tune", False)))
+        run_chain(state, potential, sweeps, tune=_boolean(config, "tune"))
         _emit_json(out, _meta(config, seed), {"checkpoint": state.checkpoint(potential)})
         return EXIT_OK
     if what == "wigner":
@@ -219,7 +227,7 @@ def cmd_calibrate(config: dict, seed: int, out, fmt: str) -> int:
         a=float(config["a"]),
         b=float(config.get("b", config["a"])),
         t0=float(config.get("t0", 2.0)),
-        normalize_variance=bool(config.get("normalize_variance", False)),
+        normalize_variance=_boolean(config, "normalize_variance"),
     )
     rows = tail_calibration_report(
         profile,

@@ -1,12 +1,22 @@
 """Rare-event probability estimation for normalized trace powers.
 
 Two estimators over one trial pass: trial k draws from its own Philox
-stream stream(seed, 1, k), and trials are assembled and evaluated in
-batches of 256, so the batching never changes results.  The pass takes the
-unplanted trace power of each raw matrix, without a rescaled copy, and,
-when given a plant, writes the entry it draws into a copy of the matrix's
-2x2 corner: the planted trace power is a rank-2 update of the unplanted
-one (O(p n**2) per matrix, no second product over the stack):
+stream stream(seed, 1, k), and trials are drawn and evaluated in batches
+of 256, so the batching never changes results.  The pass branches only on
+the profile's ``is_invariant``:
+
+* an invariant profile (the GOE and the GUE) builds no matrix.  Its
+  ``draw_tridiagonals`` reduces each trial's normals to a tridiagonal
+  (a_i = M_ii, b_i = ||M[i, i+1:]||) with the law of M's spectrum, and
+  trace powers come from that (O(n p**2) per matrix).  A plant replaces
+  a_1, or the entry M[0, 1] and then b_1 = ||M[0, 1:]||;
+* any other profile assembles the raw dense matrix and takes its trace
+  power without a rescaled copy.  A plant writes its entry into a copy of
+  the matrix's 2x2 corner: the planted trace power is a rank-2 update of
+  the unplanted one (O(p n**2) per matrix, no second product).
+
+Both draw the same normals from the same streams, so the importance
+weights do not depend on the branch.  The estimators:
 
 * naive       - plain exceedance frequency with a Wilson interval;
 * planted_is  - self-normalized importance sampling whose proposal plants
@@ -17,8 +27,9 @@ one (O(p n**2) per matrix, no second product over the stack):
   one-dimensional density ratios.
 
 The estimators never look at the entry law itself.  They take any profile
-with ``beta``, ``speed(p)``, ``mechanism(p)``, ``rate_spec(p)``,
-``draw_entries(n, rng)`` and ``proposal(mech, shift)`` (see ``randsrc``),
+with ``beta``, ``is_invariant``, ``speed(p)``, ``mechanism(p)``,
+``rate_spec(p)``, ``draw_entries(n, rng)`` and ``proposal(mech, shift)``
+(see ``randsrc``), plus ``draw_tridiagonals(n, rngs)`` when invariant,
 whose plant maps the current raw entry to (planted entry, log density
 ratio).  The position is this module's: (1,1) for the "diag" mechanism,
 (1,2) and its conjugate (2,1) for "offdiag".  A threshold whose planting
@@ -56,10 +67,11 @@ _ESS_FLOOR = 50.0
 _M_CAP = 16.0
 
 
-def _normalized_trace_powers(mats: np.ndarray, p: int) -> np.ndarray:
-    """tr_n (M / sqrt(n))**p of every raw matrix M of a stack, without a
-    rescaled copy: tr M**p / n**(p/2 + 1)."""
-    return trace_powers(mats, p) / mats.shape[-1] ** (p / 2 + 1)
+def _normalized_trace_powers(mats, p: int) -> np.ndarray:
+    """tr_n (M / sqrt(n))**p of every raw matrix M of a dense stack or of a
+    tridiagonal (a, b) stack, without a rescaled copy: tr M**p / n**(p/2 + 1)."""
+    n = (mats[0] if isinstance(mats, tuple) else mats).shape[-1]
+    return trace_powers(mats, p) / n ** (p / 2 + 1)
 
 
 def _batches(n_trials: int, *path: int):
@@ -70,18 +82,20 @@ def _batches(n_trials: int, *path: int):
 
 
 def _trial_values(model, n: int, p: int, n_trials: int, seed: int, plant=None):
-    """Trace powers tr_n X**p of every trial, each matrix drawn once.
+    """Trace powers tr_n X**p of every trial, each trial drawn once.
 
     Returns (values, planted, logw).  Without a plant the last two are
-    None.  With one, each trial's plant draws, from the same stream, an
-    entry and its log density ratio (``logw``); _plant_corner writes the
-    entry into a copy of the matrix's [:2, :2] corner, at the position of
-    model.mechanism(p).  The planted matrix differs from the unplanted one
-    only in that corner, so ``planted`` is the unplanted value plus the
-    rank-2 update of matcore.trace_power_corner_updates (even p): no
-    planted copy of the matrix is made and no second product is taken.
-    A trace power past the float range comes back non-finite, without a
-    warning.
+    None.  With one, each trial's plant draws, from the same stream after
+    the entries, an entry and its log density ratio (``logw``), placed at
+    the position of model.mechanism(p).  An invariant profile's trials
+    are tridiagonals: _plant_tridiagonal plants into them in place, after
+    their unplanted values are taken.  Otherwise _plant_corner writes the
+    entry into a copy of the matrix's [:2, :2] corner; the planted matrix
+    differs from the unplanted one only there, so ``planted`` is the
+    unplanted value plus the rank-2 update of
+    matcore.trace_power_corner_updates (even p): no planted copy of the
+    matrix is made and no second product is taken.  A trace power past
+    the float range comes back non-finite, without a warning.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -94,16 +108,24 @@ def _trial_values(model, n: int, p: int, n_trials: int, seed: int, plant=None):
         mech = model.mechanism(p)
     for start, rngs in _batches(n_trials, seed, 1):
         stop = start + len(rngs)
-        mats = _dense_trial_matrix(model, n, rngs)
         with np.errstate(over="ignore", invalid="ignore"):  # the estimators raise on non-finite values
-            values[start:stop] = _normalized_trace_powers(mats, p)
-            if plant is not None:
-                corners = mats[:, :2, :2].copy()
-                for k, rng in enumerate(rngs):
-                    logw[start + k] = _plant_corner(corners[k], mech, plant, rng)
-                update = trace_power_corner_updates(mats, corners, p)
-                planted[start:stop] = values[start:stop] + update / n ** (p / 2 + 1)
-        del mats  # one batch of matrices alive at a time
+            if model.is_invariant:
+                a, b, first_row = model.draw_tridiagonals(n, rngs)
+                values[start:stop] = _normalized_trace_powers((a, b), p)
+                if plant is not None:
+                    for k, rng in enumerate(rngs):
+                        logw[start + k] = _plant_tridiagonal(a[k], b[k], first_row[k], mech, plant, rng)
+                    planted[start:stop] = _normalized_trace_powers((a, b), p)
+            else:
+                mats = _dense_trial_matrix(model, n, rngs)
+                values[start:stop] = _normalized_trace_powers(mats, p)
+                if plant is not None:
+                    corners = mats[:, :2, :2].copy()
+                    for k, rng in enumerate(rngs):
+                        logw[start + k] = _plant_corner(corners[k], mech, plant, rng)
+                    update = trace_power_corner_updates(mats, corners, p)
+                    planted[start:stop] = values[start:stop] + update / n ** (p / 2 + 1)
+                del mats  # one batch of matrices alive at a time
     return values, planted, logw
 
 
@@ -115,6 +137,18 @@ def _plant_corner(mat: np.ndarray, mech: str, plant, rng) -> float:
     else:
         mat[0, 1], logw = plant(mat[0, 1], rng)
         mat[1, 0] = np.conj(mat[0, 1])
+    return logw
+
+
+def _plant_tridiagonal(a: np.ndarray, b: np.ndarray, first_row: np.ndarray, mech: str, plant, rng) -> float:
+    """Write plant's draw into one trial's tridiagonal: a_1 = M[0, 0] for
+    "diag"; for "offdiag" M[0, 1] in first_row, then b_1 = ||M[0, 1:]||.
+    Returns logw."""
+    if mech == "diag":
+        a[0], logw = plant(a[0], rng)
+    else:
+        first_row[0], logw = plant(first_row[0], rng)
+        b[0] = np.linalg.norm(first_row)
     return logw
 
 

@@ -1,10 +1,12 @@
 """Entry-level random sources for Wigner-type matrices.
 
 A profile owns every fact about its entry law that the estimators use:
-``beta``, ``speed(p)``, ``mechanism(p)``, ``rate_spec(p)``,
-``draw_entries(n, rng)`` and ``proposal(mech, shift)``, whose plant maps
-a raw entry to (planted entry, log density ratio); the estimators place it.
-Two families:
+``beta``, ``is_invariant``, ``speed(p)``, ``mechanism(p)``,
+``rate_spec(p)``, ``draw_entries(n, rng)`` and ``proposal(mech, shift)``,
+whose plant maps a raw entry to (planted entry, log density ratio); the
+estimators place it.  An invariant profile also has
+``draw_tridiagonals(n, rngs)``, a batch draw of the same normals reduced
+to a tridiagonal with the law of the matrix's spectrum.  Two families:
 
 * GaussianProfile - centered Gaussian entries, diagonal variance sigma2,
   off-diagonal second absolute moment 1 (real for beta=1, complex for
@@ -287,6 +289,12 @@ class GaussianProfile:
         """Closed-form rate for p >= 3; None below, where none is known."""
         return RateSpec.for_gaussian(p, self.sigma2, self.beta) if p >= 3 else None
 
+    @property
+    def is_invariant(self) -> bool:
+        """sigma2 * beta == 2: the GOE (2, 1) and the GUE (1, 2), whose law
+        is orthogonally (unitarily) invariant."""
+        return self.sigma2 * self.beta == 2
+
     def draw_entries(self, n: int, rng: np.random.Generator):
         """Diagonal (n,) and strict upper triangle (n(n-1)/2,) of one raw
         matrix, from one block of standard normals."""
@@ -296,6 +304,30 @@ class GaussianProfile:
             return z[:n] * math.sqrt(self.sigma2), z[n:]
         z = rng.standard_normal(n + 2 * m)
         return z[:n] * math.sqrt(self.sigma2), (z[n : n + m] + 1j * z[n + m :]) / math.sqrt(2.0)
+
+    def draw_tridiagonals(self, n: int, rngs):
+        """(a, b, first_row) of the raw matrices M that draw_entries draws
+        from rngs, each rng consumed exactly as draw_entries consumes it:
+        a = diag M (count, n), b_i = ||M[i, i+1:]|| (count, n - 1), the
+        norm of row i's strict upper part, and first_row = M[0, 1:]
+        (count, n - 1).  (a, b) is not M's own tridiagonalization, but for
+        an invariant profile it has the law of M's Householder tridiagonal
+        (Dumitriu & Edelman, J. Math. Phys. 2002), so the spectrum keeps
+        its law."""
+        m = n * (n - 1) // 2
+        z = np.empty((len(rngs), n + self.beta * m))
+        for row, rng in zip(z, rngs):
+            rng.standard_normal(out=row)
+        re = z[:, n : n + m]
+        if self.beta == 1:
+            first_row, squares = re[:, : n - 1], re * re
+        else:
+            im = z[:, n + m :]
+            first_row = (re[:, : n - 1] + 1j * im[:, : n - 1]) / math.sqrt(2.0)
+            squares = (re * re + im * im) / 2.0
+        row_starts = np.r_[0, np.cumsum(np.arange(n - 1, 1, -1))]
+        b = np.sqrt(np.add.reduceat(squares, row_starts, axis=1))
+        return z[:, :n] * math.sqrt(self.sigma2), b, first_row
 
     def proposal(self, mech: str, shift: float):
         """(plant, weight_var): plant(entry, rng) returns the raw entry with
@@ -363,6 +395,9 @@ class TailProfile:
             s_off = self.t0 / 2.0
         object.__setattr__(self, "_offdiag_law", TwoPieceModulus(self.a, self.alpha, self.t0, s_off))
         object.__setattr__(self, "_diag_law", TwoPieceModulus(self.b, self.alpha, self.t0, self.t0 / 2.0))
+
+    # a heavy-tailed law is never orthogonally invariant
+    is_invariant = False
 
     @property
     def beta(self) -> int:
@@ -482,13 +517,17 @@ def tail_calibration_report(
     """Empirical -log P(|X| > t) / t**alpha per grid point, with Wilson CI.
 
     For t >= t0 the ratio should match the tail rate (a or b); rows below
-    the onset are flagged rather than judged.
+    the onset are flagged rather than judged.  A threshold that is not
+    finite and positive raises ValueError naming it.
     """
     from .stats import wilson_interval
 
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if t_grid.size == 0:
         raise ValueError("empty threshold grid")
+    for t in t_grid:
+        if not (math.isfinite(t) and t > 0):
+            raise ValueError(f"thresholds must be finite and positive, got t={t}")
     law = profile.modulus_law(role)
     mods = law.sample(rng, int(n_samples))
     rows = []

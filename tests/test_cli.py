@@ -344,6 +344,14 @@ class TestSampleCommand:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tune", ["no", 1, None])
+    def test_non_boolean_tune_exit_2(self, tmp_path, capsys, tune):
+        cfg = {"what": "loggas", "potential": {"b": 0.25, "alpha": 2.0, "beta": 1.0}, "N": 8, "sweeps": 5,
+               "tune": tune}
+        code, _ = run_cli(tmp_path, "sample", cfg, fmt="json")
+        assert code == 2
+        assert f"tune must be true or false, got {tune!r}" in capsys.readouterr().err
+
     def test_wigner_eigenvalues_csv(self, tmp_path):
         cfg = {"what": "wigner", "model": {"kind": "gaussian", "sigma2": 1.0, "beta": 1}, "n": 16}
         code, out = run_cli(tmp_path, "sample", cfg)
@@ -376,6 +384,19 @@ class TestCalibrateCommand:
     def test_missing_config_key_exit_2(self, tmp_path):
         code, _ = run_cli(tmp_path, "calibrate", {"alpha": 1.0})
         assert code == 2
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"normalize_variance": "no"}, "normalize_variance must be true or false, got 'no'"),
+        ({"t_grid": [4.0, -1.0]}, "got t=-1.0"),
+        ({"t_grid": [0.0]}, "got t=0.0"),
+        ({"t_grid": [math.nan]}, "got t=nan"),
+        ({"t_grid": [math.inf]}, "got t=inf"),
+    ], ids=["normalize_variance_string", "t_negative", "t_zero", "t_nan", "t_inf"])
+    def test_bad_input_exit_2(self, tmp_path, capsys, bad, message):
+        cfg = dict({"alpha": 1.0, "a": 1.0, "t_grid": [4.0], "n_samples": 1000}, **bad)
+        code, out = run_cli(tmp_path, "calibrate", cfg)
+        assert code == 2 and not out.exists()
+        assert message in capsys.readouterr().err
 
 
 class TestConfigHandling:

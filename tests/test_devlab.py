@@ -44,10 +44,18 @@ class TestNaive:
         assert a == b
 
     def test_batches_match_per_trial_assembly(self):
-        # 300 trials cross the 256-trial batch boundary; trial k uses stream(seed, 1, k)
+        # 300 trials cross the 256-trial batch boundary; trial k uses stream(seed, 1, k).
+        # The GUE is invariant, so each trial is the tridiagonal of its own draw_entries
         est = estimate_tail_naive(GAUSS2, 8, 4, 2.3, 300, seed=9)
+        hits = sum(_tridiagonal_trial(GAUSS2, 8, 4, stream(9, 1, k))[0] >= 2.3 for k in range(300))
+        assert 0 < est.hits < 300
+        assert est.hits == hits
+
+    def test_dense_batches_match_per_trial_assembly(self):
+        prof = GaussianProfile(sigma2=1.0, beta=1)  # not invariant: dense matrices
+        est = estimate_tail_naive(prof, 8, 4, 2.5, 300, seed=9)
         hits = sum(
-            normalized_trace_power(assemble_wigner(8, GAUSS2, stream(9, 1, k))[1], 4) >= 2.3
+            normalized_trace_power(assemble_wigner(8, prof, stream(9, 1, k))[1], 4) >= 2.5
             for k in range(300)
         )
         assert 0 < est.hits < 300
@@ -229,6 +237,7 @@ class TestCornerUpdatePass:
         else:
             prof = _single_pass_case(key)[0]
         monkeypatch.setattr(type(prof), "mechanism", lambda self, p: mech)  # plant at both positions
+        monkeypatch.setattr(type(prof), "is_invariant", False)  # the dense pass, for the GUE too
         n, n_trials, seed = 6, 20, 46
         for p in (4, 6):
             plant, _ = prof.proposal(mech, 3.0)
@@ -241,6 +250,89 @@ class TestCornerUpdatePass:
             assert np.array_equal(values, base) and np.array_equal(logw, ref_logw)
             assert np.all(np.abs(planted - dense) <= 1e-12 * np.maximum(base, dense))
             assert not np.array_equal(planted, values)
+
+
+def _tridiagonal_trial(prof, n, p, rng, mech=None, plant=None):
+    """(value, planted value, logw) of one trial built from draw_entries:
+    a_i = M_ii and b_i = ||M[i, i+1:]||, the plant at a_1 ("diag") or at
+    M[0, 1], with b_1 recomputed ("offdiag")."""
+    diag, off = prof.draw_entries(n, rng)
+    upper = np.zeros((n, n), dtype=off.dtype)
+    upper[np.triu_indices(n, 1)] = off
+    a, b = diag.copy(), np.linalg.norm(upper[:-1], axis=1)
+
+    def value():
+        return float(trace_powers((a, b), p)) / n ** (p / 2 + 1)
+
+    base = value()
+    if plant is None:
+        return base, None, None
+    if mech == "diag":
+        a[0], logw = plant(diag[0], rng)
+    else:
+        upper[0, 1], logw = plant(upper[0, 1], rng)
+        b[0] = np.linalg.norm(upper[0])
+    return base, value(), logw
+
+
+GOE = GaussianProfile(sigma2=2.0, beta=1)
+
+
+class TestInvariantPass:
+    """Invariant profiles take trace powers of the tridiagonal of each
+    trial's normals; the draws and the weights stay those of the dense
+    pass, and every trace-power statistic keeps its law."""
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("prof", [GOE, GAUSS2], ids=["goe", "gue"])
+    def test_mean_is_exact(self, prof, n):
+        # E tr_n X**4: 2 + 5/n + 5/n**2 (GOE), 2 + 1/n**2 (GUE); recorded mutation: b_i**2 without
+        # the 1/2 of the beta=2 entries' squared moduli fails this test at every n
+        exact = 2 + 5 / n + 5 / n ** 2 if prof.beta == 1 else 2 + 1 / n ** 2
+        values, _, _ = devlab._trial_values(prof, n, 4, 4000, 60 + n)
+        assert abs(values.mean() - exact) <= 4.0 * values.std(ddof=1) / math.sqrt(values.size)
+
+    @pytest.mark.parametrize("mech", ["diag", "offdiag", None])
+    @pytest.mark.parametrize("prof", [GOE, GAUSS2], ids=["goe", "gue"])
+    def test_values_match_per_trial_tridiagonals(self, prof, mech, monkeypatch):
+        # 300 trials cross the 256-trial batch boundary; both plant positions
+        n, p, seed = 7, 4, 61
+        plant = None
+        if mech is not None:
+            monkeypatch.setattr(GaussianProfile, "mechanism", lambda self, p: mech)
+            plant, _ = prof.proposal(mech, 2.5)
+        values, planted, logw = devlab._trial_values(prof, n, p, 300, seed, plant)
+        ref = [_tridiagonal_trial(prof, n, p, stream(seed, 1, k), mech, plant) for k in range(300)]
+        ref_values, ref_planted, ref_logw = (np.array(col, dtype=float) for col in zip(*ref))
+        np.testing.assert_allclose(values, ref_values, rtol=1e-12)
+        if plant is None:
+            assert planted is None and logw is None
+        else:
+            assert np.array_equal(logw, ref_logw)
+            np.testing.assert_allclose(planted, ref_planted, rtol=1e-12)
+            assert not np.array_equal(planted, values)
+
+    @pytest.mark.parametrize("prof, x", [(GOE, 3.0), (GAUSS2, 2.2)], ids=["goe", "gue"])
+    def test_exceedance_agrees_with_dense(self, prof, x, monkeypatch):
+        tridiagonal = estimate_tail_naive(prof, 8, 4, x, 3000, seed=62)
+        monkeypatch.setattr(GaussianProfile, "is_invariant", False)
+        dense = estimate_tail_naive(prof, 8, 4, x, 3000, seed=63)
+        assert min(tridiagonal.hits, dense.hits) >= 1000
+        assert abs(tridiagonal.p_hat - dense.p_hat) <= 3.0 * math.hypot(tridiagonal.stderr, dense.stderr)
+
+    def test_weights_match_recorded(self):
+        # recorded with the dense pass: the same streams give the same weights
+        plant, _ = GAUSS2.proposal("diag", 1.5)
+        _, _, logw = devlab._trial_values(GAUSS2, 8, 4, 300, 51, plant)
+        assert hashlib.sha256(logw.tobytes()).hexdigest()[:16] == "1e6955e6732e99ab"
+        est = estimate_tail_planted_is(GAUSS2, 8, 4, 2.1, 2000, seed=53)
+        assert (est.ess, est.weight_mean, est.weight_mean_se) == (
+            28.942661904805757, 0.9774600164975227, 0.8000084971192508)
+
+    def test_tail_profiles_are_not_invariant(self):
+        assert GOE.is_invariant and GAUSS2.is_invariant
+        assert not GaussianProfile(sigma2=1.0, beta=1).is_invariant
+        assert not TailProfile.with_feasible_t0(1.0, 1.5, 1.0).is_invariant
 
 
 class TestFloatRange:
@@ -260,6 +352,16 @@ class TestFloatRange:
 
     def test_naive_rejects_overflowed_trace_power(self, monkeypatch):
         monkeypatch.setattr(devlab, "_dense_trial_matrix", lambda model, n, rngs: np.full((len(rngs), n, n), 1e200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape("x=3.0 at n=4 takes the trace powers")):
+                estimate_tail_naive(GaussianProfile(sigma2=1.0, beta=1), 4, 4, 3.0, 10, seed=48)
+
+    def test_naive_rejects_overflowed_tridiagonal_trace_power(self, monkeypatch):
+        def huge(self, n, rngs):
+            return np.full((len(rngs), n), 1e200), np.full((len(rngs), n - 1), 1e200), None
+
+        monkeypatch.setattr(GaussianProfile, "draw_tridiagonals", huge)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=re.escape("x=3.0 at n=4 takes the trace powers")):
@@ -299,6 +401,7 @@ class StubProfile:
     diagonal one."""
 
     beta = 1
+    is_invariant = False
     sd = math.sqrt(2.0)
 
     def speed(self, p):
@@ -326,6 +429,11 @@ class StubProfile:
 
 class TestProfileInterface:
     GAUSS = GaussianProfile(sigma2=2.0, beta=1)
+
+    @pytest.fixture(autouse=True)
+    def _dense_goe(self, monkeypatch):
+        # the stub has no tridiagonal draw, so the GOE is compared on the dense pass
+        monkeypatch.setattr(GaussianProfile, "is_invariant", False)
 
     def test_stub_profile_runs_naive_and_planted_is(self):
         stub = StubProfile()
@@ -462,7 +570,9 @@ class TestGoldenBytes:
 
     DIGESTS = {
         "gauss_1_1": ("9d4c77adafff3612", "428f69117801d740", "7010fceb92832c68"),
-        "gauss_1_2": ("6b92adfb656d9d7c", "64c9020bfdea96e7", "c28dc2dc22041514"),
+        # the GUE's estimates re-recorded when invariant profiles moved to the tridiagonal pass;
+        # DENSE_GUE keeps the dense pass's digests
+        "gauss_1_2": ("1b5490db121d4373", "2319c07f1137b5cd", "c28dc2dc22041514"),
         "gauss_0.25_1": ("79bebfba4b05a1ac", "adfbf57b0527b389", "606790c7e61cf0ac"),
         "gauss_0.25_2": ("c24546640cad75d6", "32805eb8d0d70a32", "54674b3b293f7783"),
         "tail_rademacher_b1_alpha0.5": ("e60543197276fb1d", "3a5537fe6df9fbcf", "a995d9c21db4593b"),
@@ -499,9 +609,15 @@ class TestGoldenBytes:
         "tail_uniform_s1_b2_alpha1.5": ("fe493ee944785177", "e2608471265052d5", "f81ca7da19e24602", "439518e6880419a3"),
     }
 
+    DENSE_GUE = ("6b92adfb656d9d7c", "64c9020bfdea96e7", "c28dc2dc22041514")
+
     @pytest.mark.parametrize("key", sorted(DIGESTS))
     def test_estimates_and_matrices(self, key):
         assert _golden_digests(key) == self.DIGESTS[key]
+
+    def test_dense_pass_keeps_gue_digests(self, monkeypatch):
+        monkeypatch.setattr(GaussianProfile, "is_invariant", False)
+        assert _golden_digests("gauss_1_2") == self.DENSE_GUE
 
     @pytest.mark.parametrize("key", sorted(DERIVED))
     def test_derived_matrices(self, key):
@@ -514,11 +630,12 @@ class TestGoldenBytes:
         gauss = rate_slope_scan(_golden_profile("gauss_1_2"), 4, 3.0, [6, 8], 300, seed=14)
         tail = rate_slope_scan(_golden_profile("tail_rademacher_b1_alpha1"), 4, 3.0, [6, 8], 300, seed=14)
         rows = gauss.rows + tail.rows
-        # the fields the old scan-row record carried, recorded before rows became the estimates
+        # the fields the old scan-row record carried; all three digests re-recorded when the
+        # GUE moved to the tridiagonal pass (the tail rows are unchanged)
         projected = [(r.n, r.slope, r.p_hat, r.method, r.flagged, r.ess, r.stderr) for r in rows]
-        assert _digest(projected) == "a72794a3fe2721e6"
-        assert _digest([dataclasses.asdict(r) for r in rows]) == "e7f698cf0f72ca92"
-        assert _digest(gauss.summary()) == "435b49cb181fb76f"
+        assert _digest(projected) == "c7665cdc1342729b"
+        assert _digest([dataclasses.asdict(r) for r in rows]) == "2f71c045a4331a12"
+        assert _digest(gauss.summary()) == "58f566bfaba9da2a"
 
     def test_bounded_probe_rows(self):
         rows = bounded_entry_concentration_probe(9, 4, [0.5, 1.0], [0.1, 0.5], 300, seed=3)

@@ -271,6 +271,12 @@ class TestCalibrationReport:
         with pytest.raises(ValueError):
             tail_calibration_report(prof, 100, [], stream(13, 3))
 
+    @pytest.mark.parametrize("t", [-1.0, 0.0, math.nan, math.inf])
+    def test_rejects_thresholds_that_are_not_finite_and_positive(self, t):
+        prof = TailProfile(alpha=1.0, a=1.0, b=1.0, normalize_variance=False)
+        with pytest.raises(ValueError, match=f"thresholds must be finite and positive, got t={t}"):
+            tail_calibration_report(prof, 100, [2.0, t], stream(13, 3))
+
 
 class TestSerialization:
     def test_tail_profile_roundtrip(self):
