@@ -368,6 +368,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", default="csv", choices=["csv", "json"])
     args = parser.parse_args(argv)
+    if args.seed < 0:
+        sys.stderr.write(f"invalid input: --seed must be a non-negative integer, got {args.seed}\n")
+        return EXIT_INVALID
 
     config = {}
     if args.config:

@@ -1,9 +1,9 @@
 """Rare-event probability estimation for normalized trace powers.
 
 Two estimators over one trial pass: trial k draws from its own Philox
-stream stream(seed, 1, k), and trials are drawn and evaluated in batches
-of 256, so the batching never changes results.  The pass branches only on
-the profile's ``is_invariant``:
+stream rng.stream(seed, 1, k), and rng.streams keys each batch of 256
+trials at once, so the batching never changes results.  The pass branches
+only on the profile's ``is_invariant``:
 
 * an invariant profile (the GOE and the GUE) builds no matrix.  Its
   ``draw_tridiagonals`` reduces each trial's normals to a tridiagonal
@@ -50,7 +50,7 @@ from scipy import special
 
 from .matcore import trace_power_corner_updates, trace_powers
 from .rates import rate_value, semicircle_moment
-from .rng import stream
+from .rng import streams
 from .stats import DeviationEstimate, binomial_estimate
 from .wigner import assemble_hermitian, assemble_wigner_batch as _dense_trial_matrix, spike_size, triangle_layout
 
@@ -75,10 +75,11 @@ def _normalized_trace_powers(mats, p: int) -> np.ndarray:
 
 
 def _batches(n_trials: int, *path: int):
-    """(first trial index, one stream per trial) for each batch of up to
-    _CHUNK trials; trial k draws from stream(*path, k)."""
+    """(first trial index, one stream per trial) for each batch of up to _CHUNK trials; trial k
+    draws from stream(*path, k), on one pool re-keyed per batch: each is valid until the next."""
+    pool = []
     for start in range(0, n_trials, _CHUNK):
-        yield start, [stream(*path, k) for k in range(start, min(start + _CHUNK, n_trials))]
+        yield start, streams(*path, start=start, stop=min(start + _CHUNK, n_trials), pool=pool)
 
 
 def _trial_values(model, n: int, p: int, n_trials: int, seed: int, plant=None):
@@ -95,7 +96,8 @@ def _trial_values(model, n: int, p: int, n_trials: int, seed: int, plant=None):
     unplanted value plus the rank-2 update of
     matcore.trace_power_corner_updates (even p): no planted copy of the
     matrix is made and no second product is taken.  A trace power past
-    the float range comes back non-finite, without a warning.
+    the float range comes back non-finite, without a warning.  Each
+    batch's generators are used within that batch only (see _batches).
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -333,7 +335,8 @@ def bounded_entry_concentration_probe(
     s * n**(1/2+1/p) at (1,1).  The normalized-spike moment condition
     tr (C/sqrt(n))**(2(p-1)) <= m n**(2-2/p) is checked; m above _M_CAP
     raises naming m.  Reported frequencies share one sample per spike,
-    so they are weakly decreasing along the threshold grid.
+    so they are weakly decreasing along the threshold grid.  Each
+    batch's generators are used within that batch only (see _batches).
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     on_diag = triangle_layout(n)[0]

@@ -404,3 +404,9 @@ class TestConfigHandling:
         out = tmp_path / "o.csv"
         code = cli.main(["--command", "rate", "--config", str(tmp_path / "nope.json"), "--out", str(out)])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["sample", "rate", "varopt", "deviations", "verify", "calibrate"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, command):
+        code, out = run_cli(tmp_path, command, RATE_CFG, seed=-1)
+        assert code == 2 and not out.exists()
+        assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err

@@ -17,7 +17,7 @@ from rmtldp import devlab, randsrc
 from rmtldp.matcore import HermMatrix, normalized_trace_power, trace_powers
 from rmtldp.randsrc import GaussianProfile, TailProfile
 from rmtldp.rates import semicircle_moment
-from rmtldp.rng import stream
+from rmtldp.rng import stream, streams
 from rmtldp.wigner import PlantSpec, assemble_wigner, assemble_wigner_batch, plant_deformation, truncation_split
 
 
@@ -191,11 +191,11 @@ class TestSinglePass:
     def test_auto_scan_draws_each_trial_once(self, monkeypatch):
         paths = []
 
-        def counting_stream(*path):
-            paths.append(path)
-            return stream(*path)
+        def counting_streams(*prefix, start, stop, pool):
+            paths.extend((*prefix, k) for k in range(start, stop))
+            return streams(*prefix, start=start, stop=stop, pool=pool)
 
-        monkeypatch.setattr(devlab, "stream", counting_stream)
+        monkeypatch.setattr(devlab, "streams", counting_streams)
         scan = rate_slope_scan(GAUSS2, 4, 3.0, [8, 16], 300, seed=41)
         assert [r.method for r in scan.rows] == ["naive", "planted_is"]
         assert len(paths) == 600
@@ -333,6 +333,42 @@ class TestInvariantPass:
         assert GOE.is_invariant and GAUSS2.is_invariant
         assert not GaussianProfile(sigma2=1.0, beta=1).is_invariant
         assert not TailProfile.with_feasible_t0(1.0, 1.5, 1.0).is_invariant
+
+
+class TestBatchStreams:
+    """Each batch's streams are keyed in one pass by rng.streams, which
+    re-keys one pool of generators: the draws equal per-trial rng.stream's,
+    and a generator is valid only until the next batch."""
+
+    @staticmethod
+    def _per_trial_streams(seed, *prefix, start, stop, pool):
+        return [stream(seed, *prefix, k) for k in range(start, stop)]
+
+    @pytest.mark.parametrize("prof", [GAUSS2, TailProfile.with_feasible_t0(1.0, 1.5, 1.0)], ids=["gue", "tail"])
+    def test_trial_values_equal_per_trial_streams(self, prof, monkeypatch):
+        # 300 trials cross the 256-trial batch boundary; the GUE is invariant, the tail profile dense
+        plant, _ = prof.proposal(prof.mechanism(4), 2.5)
+        batched = devlab._trial_values(prof, 6, 4, 300, 64, plant)
+        monkeypatch.setattr(devlab, "streams", self._per_trial_streams)
+        for got, ref in zip(batched, devlab._trial_values(prof, 6, 4, 300, 64, plant)):
+            assert np.array_equal(got, ref)
+
+    def test_probe_rows_equal_per_trial_streams(self, monkeypatch):
+        args = (6, 4, [0.0, 0.5], [0.05, 0.5], 300)
+        batched = bounded_entry_concentration_probe(*args, seed=65)
+        monkeypatch.setattr(devlab, "streams", self._per_trial_streams)
+        assert batched == bounded_entry_concentration_probe(*args, seed=65)
+
+    def test_generator_is_valid_only_within_its_batch(self):
+        batches = devlab._batches(300, 66, 1)
+        _, first = next(batches)
+        kept = first[0]
+        assert np.array_equal(kept.bit_generator.state["state"]["key"], stream(66, 1, 0).bit_generator.state["state"]["key"])
+        next(batches)
+        # the pool was re-keyed for batch 1: the generator kept from batch 0 now draws trial 256's stream
+        draws = kept.random(2)
+        assert draws[0] != stream(66, 1, 0).random()
+        assert np.array_equal(draws, stream(66, 1, 256).random(2))
 
 
 class TestFloatRange:
