@@ -223,10 +223,10 @@ def cmd_sample(config: dict, seed: int, out, fmt: str) -> int:
 
 def cmd_calibrate(config: dict, seed: int, out, fmt: str) -> int:
     profile = TailProfile(
-        alpha=float(config["alpha"]),
-        a=float(config["a"]),
-        b=float(config.get("b", config["a"])),
-        t0=float(config.get("t0", 2.0)),
+        alpha=config["alpha"],
+        a=config["a"],
+        b=config.get("b", config["a"]),
+        t0=config.get("t0", 2.0),
         normalize_variance=_boolean(config, "normalize_variance"),
     )
     rows = tail_calibration_report(

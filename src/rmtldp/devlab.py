@@ -28,12 +28,15 @@ weights do not depend on the branch.  The estimators:
 
 The estimators never look at the entry law itself.  They take any profile
 with ``beta``, ``is_invariant``, ``speed(p)``, ``mechanism(p)``,
-``rate_spec(p)``, ``draw_entries(n, rng)`` and ``proposal(mech, shift)``
-(see ``randsrc``), plus ``draw_tridiagonals(n, rngs)`` when invariant,
-whose plant maps the current raw entry to (planted entry, log density
-ratio).  The position is this module's: (1,1) for the "diag" mechanism,
-(1,2) and its conjugate (2,1) for "offdiag".  A threshold whose planting
-size or trace powers leave the float range raises ValueError.
+``rate_spec(p)``, ``draw_entries(n, rngs)`` and ``proposal(mech, shift)``
+(see ``randsrc``), plus ``draw_tridiagonals(n, rngs)`` when invariant.
+Each works on a whole batch: the plant ``plant(entries, rngs)`` maps the
+batch's current raw entries to (planted entries, log density ratios), and
+a batch consumes each trial's generator in the same order as a trial
+drawn alone.  The position is this module's: (1,1) for the "diag"
+mechanism, (1,2) and its conjugate (2,1) for "offdiag".  A threshold
+whose planting size or trace powers leave the float range raises
+ValueError.
 
 Estimates are asymptotic-regime probes: slopes -log p / n**speed are
 reported against the closed-form rate for comparison, with no convergence
@@ -86,12 +89,12 @@ def _trial_values(model, n: int, p: int, n_trials: int, seed: int, plant=None):
     """Trace powers tr_n X**p of every trial, each trial drawn once.
 
     Returns (values, planted, logw).  Without a plant the last two are
-    None.  With one, each trial's plant draws, from the same stream after
-    the entries, an entry and its log density ratio (``logw``), placed at
-    the position of model.mechanism(p).  An invariant profile's trials
-    are tridiagonals: _plant_tridiagonal plants into them in place, after
-    their unplanted values are taken.  Otherwise _plant_corner writes the
-    entry into a copy of the matrix's [:2, :2] corner; the planted matrix
+    None.  With one, each batch's plant draws, from each trial's stream
+    after its entries, an entry and its log density ratio (``logw``),
+    placed at the position of model.mechanism(p).  An invariant profile's
+    trials are tridiagonals: _plant_tridiagonals plants into them in place,
+    after their unplanted values are taken.  Otherwise _plant_corners writes
+    the entries into a copy of the matrices' [:2, :2] corners; a planted matrix
     differs from the unplanted one only there, so ``planted`` is the
     unplanted value plus the rank-2 update of
     matcore.trace_power_corner_updates (even p): no planted copy of the
@@ -115,42 +118,41 @@ def _trial_values(model, n: int, p: int, n_trials: int, seed: int, plant=None):
                 a, b, first_row = model.draw_tridiagonals(n, rngs)
                 values[start:stop] = _normalized_trace_powers((a, b), p)
                 if plant is not None:
-                    for k, rng in enumerate(rngs):
-                        logw[start + k] = _plant_tridiagonal(a[k], b[k], first_row[k], mech, plant, rng)
+                    logw[start:stop] = _plant_tridiagonals(a, b, first_row, mech, plant, rngs)
                     planted[start:stop] = _normalized_trace_powers((a, b), p)
             else:
                 mats = _dense_trial_matrix(model, n, rngs)
                 values[start:stop] = _normalized_trace_powers(mats, p)
                 if plant is not None:
                     corners = mats[:, :2, :2].copy()
-                    for k, rng in enumerate(rngs):
-                        logw[start + k] = _plant_corner(corners[k], mech, plant, rng)
+                    logw[start:stop] = _plant_corners(corners, mech, plant, rngs)
                     update = trace_power_corner_updates(mats, corners, p)
                     planted[start:stop] = values[start:stop] + update / n ** (p / 2 + 1)
                 del mats  # one batch of matrices alive at a time
     return values, planted, logw
 
 
-def _plant_corner(mat: np.ndarray, mech: str, plant, rng) -> float:
-    """Write plant's draw into a raw matrix or its 2x2 corner: at (1,1) for
-    "diag", at (1,2) and conjugated at (2,1) for "offdiag"; returns logw."""
+def _plant_corners(mats: np.ndarray, mech: str, plant, rngs) -> np.ndarray:
+    """Write plant's draws into a stack of raw matrices or of their 2x2
+    corners, one generator each: at (1,1) for "diag", at (1,2) and
+    conjugated at (2,1) for "offdiag"; returns the logw."""
     if mech == "diag":
-        mat[0, 0], logw = plant(mat[0, 0], rng)
+        mats[:, 0, 0], logw = plant(mats[:, 0, 0], rngs)
     else:
-        mat[0, 1], logw = plant(mat[0, 1], rng)
-        mat[1, 0] = np.conj(mat[0, 1])
+        mats[:, 0, 1], logw = plant(mats[:, 0, 1], rngs)
+        mats[:, 1, 0] = np.conj(mats[:, 0, 1])
     return logw
 
 
-def _plant_tridiagonal(a: np.ndarray, b: np.ndarray, first_row: np.ndarray, mech: str, plant, rng) -> float:
-    """Write plant's draw into one trial's tridiagonal: a_1 = M[0, 0] for
-    "diag"; for "offdiag" M[0, 1] in first_row, then b_1 = ||M[0, 1:]||.
-    Returns logw."""
+def _plant_tridiagonals(a: np.ndarray, b: np.ndarray, first_row: np.ndarray, mech: str, plant, rngs) -> np.ndarray:
+    """Write plant's draws into a stack of tridiagonals, one generator
+    each: a_1 = M[0, 0] for "diag"; for "offdiag" M[0, 1] in first_row,
+    then b_1 = ||M[0, 1:]||.  Returns the logw."""
     if mech == "diag":
-        a[0], logw = plant(a[0], rng)
+        a[:, 0], logw = plant(a[:, 0], rngs)
     else:
-        first_row[0], logw = plant(first_row[0], rng)
-        b[0] = np.linalg.norm(first_row)
+        first_row[:, 0], logw = plant(first_row[:, 0], rngs)
+        b[:, 0] = np.linalg.norm(first_row, axis=1)
     return logw
 
 
@@ -314,9 +316,13 @@ class BoundedProbeRow:
     stderr: float
 
 
-def _truncated_normal(rng: np.random.Generator, size) -> np.ndarray:
+def _truncated_normals(rngs, size: int) -> np.ndarray:
+    """(len(rngs), size) standard normals truncated to [-1, 1], one row of
+    uniforms per generator."""
     lo = 0.5 * math.erfc(1.0 / math.sqrt(2.0))  # Phi(-1)
-    u = rng.random(size)
+    u = np.empty((len(rngs), size))
+    for row, rng in zip(u, rngs):
+        rng.random(out=row)
     return special.ndtri(lo + u * (1.0 - 2.0 * lo))
 
 
@@ -348,8 +354,9 @@ def bounded_entry_concentration_probe(
             raise ValueError(f"spike hypothesis violated: m = {m:.4g} exceeds cap {_M_CAP}")
         vals = np.empty(n_trials)
         for start, rngs in _batches(n_trials, seed, 3, s_idx):
-            draws = (_truncated_normal(rng, n * (n + 1) // 2) for rng in rngs)
-            h = assemble_hermitian(((v[on_diag], np.delete(v, on_diag)) for v in draws), len(rngs), n, 1)
+            h = np.zeros((len(rngs), n, n))
+            v = _truncated_normals(rngs, n * (n + 1) // 2)
+            assemble_hermitian(h, v[:, on_diag], np.delete(v, on_diag, axis=1))
             h[:, 0, 0] += c0
             vals[start : start + len(rngs)] = _normalized_trace_powers(h, p)
         dev = np.abs(vals - vals.mean())

@@ -2,11 +2,20 @@
 
 A profile owns every fact about its entry law that the estimators use:
 ``beta``, ``is_invariant``, ``speed(p)``, ``mechanism(p)``,
-``rate_spec(p)``, ``draw_entries(n, rng)`` and ``proposal(mech, shift)``,
-whose plant maps a raw entry to (planted entry, log density ratio); the
-estimators place it.  An invariant profile also has
+``rate_spec(p)``, ``draw_entries(n, rngs)`` and ``proposal(mech, shift)``.
+Both work on a batch, one generator per matrix: ``draw_entries`` returns
+diagonals (count, n) and strict upper triangles (count, n(n-1)/2), and
+the proposal's ``plant(entries, rngs)`` maps the current raw entries to
+(planted entries, log density ratios), each of shape (count,); the
+estimators place them.  An invariant profile also has
 ``draw_tridiagonals(n, rngs)``, a batch draw of the same normals reduced
-to a tridiagonal with the law of the matrix's spectrum.  Two families:
+to a tridiagonal with the law of the matrix's spectrum.
+
+A batch consumes each generator exactly as a one-generator draw would,
+in the same per-stream order: the generator calls come first, one loop
+over the generators, and the arithmetic on the draws then runs once over
+the batch.  ``TwoPieceModulus.sample`` and ``TailProfile.sample_entries``
+are the one-generator case of the batch draw.  Two families:
 
 * GaussianProfile - centered Gaussian entries, diagonal variance sigma2,
   off-diagonal second absolute moment 1 (real for beta=1, complex for
@@ -29,6 +38,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -51,6 +61,14 @@ _PHASE_LAWS = ("rademacher", "uniform_s1")
 
 class CalibrationError(ValueError):
     """Requested entry law cannot meet the variance constraint."""
+
+
+def _require_positive(**fields) -> None:
+    """Raise, naming the field, unless each value is a finite positive real
+    number (a bool is not one)."""
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
 def _norm_cdf(x: float) -> float:
@@ -140,19 +158,49 @@ class TwoPieceModulus:
 
     # ---- sampling -----------------------------------------------------
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        u = rng.random(size)
-        is_tail = u < self.tail_mass
-        out = np.empty(size)
-        k = int(is_tail.sum())
-        if k:
-            e = rng.standard_exponential(k)
-            out[is_tail] = (self._t0_alpha + e / self.c) ** (1.0 / self.alpha)
-        j = size - k
-        if j:
-            v = rng.random(j)
-            out[~is_tail] = np.minimum(self.s * special.ndtri(0.5 + v * self._core_z), self.t0)
+    def draw(self, rngs, size: int, eta: float = 0.0) -> np.ndarray:
+        """(len(rngs), size) draws, one row per generator, from the law
+        tilted by exp(eta t**alpha) (eta = 0: the law itself).  Each
+        generator makes the calls of a one-generator draw: random(size),
+        then standard_exponential(k) for its k tail draws, then the core's
+        random(size - k) (eta = 0) or rejection loop (eta > 0).  The tail
+        power and the core's inverse CDF then run once over the batch."""
+        tail_mass = self._tilt(eta)[1] if eta else self.tail_mass
+        u = np.empty((len(rngs), size))
+        w = np.empty_like(u)  # per row: its k exponentials, then its core's uniforms (or moduli)
+        for rng, ur, wr in zip(rngs, u, w):
+            rng.random(out=ur)
+            k = np.count_nonzero(ur < tail_mass)
+            if k:
+                rng.standard_exponential(out=wr[:k])
+            if k < size and eta:
+                wr[k:] = self._tilted_core(eta, rng, size - k)
+            elif k < size:
+                rng.random(out=wr[k:])
+        # boolean indexing walks rows in order, so a row's tail draws land on its
+        # positions with u < tail_mass, in order, and its core draws on the rest
+        is_tail = u < tail_mass
+        packed_tail = np.arange(size) < np.count_nonzero(is_tail, axis=1)[:, None]
+        out = np.empty_like(w)
+        out[is_tail] = (self._t0_alpha + w[packed_tail] / (self.c - eta)) ** (1.0 / self.alpha)
+        core = w[~packed_tail]
+        out[~is_tail] = core if eta else np.minimum(self.s * special.ndtri(0.5 + core * self._core_z), self.t0)
         return out
+
+    def _tilted_core(self, eta: float, rng: np.random.Generator, j: int) -> np.ndarray:
+        """j core draws of the tilted law, by rejection from the untilted
+        core; acceptance exp(eta(t^a - t0^a)) <= 1."""
+        got = np.empty(0)
+        while got.size < j:
+            cand = self.sample(rng, max(j, 64))
+            cand = cand[cand <= self.t0]
+            acc = rng.random(cand.size) < np.exp(eta * (cand ** self.alpha - self._t0_alpha))
+            got = np.concatenate([got, cand[acc]])
+        return got[:j]
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """size draws from one generator: the one-row case of draw."""
+        return self.draw([rng], size)[0]
 
     # ---- exponential-type tilt (importance-sampling support) ----------
 
@@ -173,29 +221,10 @@ class TwoPieceModulus:
         """E[exp(eta * T**alpha)], finite for eta < c."""
         return 1.0 if eta == 0.0 else self._tilt(eta)[0]
 
-    def sample_tilted(self, eta: float, rng: np.random.Generator, size: int):
-        """Draw from the tilted law q(t) = pdf(t) exp(eta t**alpha) / Z."""
-        if eta == 0.0:
-            return self.sample(rng, size)
-        tail_mass_t = self._tilt(eta)[1]
-        u = rng.random(size)
-        out = np.empty(size)
-        is_tail = u < tail_mass_t
-        k = int(is_tail.sum())
-        if k:
-            e = rng.standard_exponential(k)
-            out[is_tail] = (self._t0_alpha + e / (self.c - eta)) ** (1.0 / self.alpha)
-        j = size - k
-        if j:
-            # rejection from the untilted core; acceptance exp(eta(t^a - t0^a)) <= 1
-            got = np.empty(0)
-            while got.size < j:
-                cand = self.sample(rng, max(j, 64))
-                cand = cand[cand <= self.t0]
-                acc = rng.random(cand.size) < np.exp(eta * (cand ** self.alpha - self._t0_alpha))
-                got = np.concatenate([got, cand[acc]])
-            out[~is_tail] = got[:j]
-        return out
+    def sample_tilted(self, eta: float, rngs, size: int) -> np.ndarray:
+        """(len(rngs), size) draws from the tilted law q(t) = pdf(t)
+        exp(eta t**alpha) / Z, one row per generator (see draw)."""
+        return self.draw(rngs, size, eta)
 
 
 def _solve_core_scale(c: float, alpha: float, t0: float) -> float:
@@ -271,10 +300,9 @@ class GaussianProfile:
     beta: int = 1
 
     def __post_init__(self):
-        if self.sigma2 <= 0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
-        if self.beta not in (1, 2):
-            raise ValueError(f"beta must be 1 or 2, got {self.beta}")
+        _require_positive(sigma2=self.sigma2)
+        if isinstance(self.beta, bool) or not isinstance(self.beta, numbers.Integral) or self.beta not in (1, 2):
+            raise ValueError(f"beta must be the integer 1 or 2, got {self.beta!r}")
 
     def speed(self, p: int) -> float:
         """Exponent s of the deviation speed n**s of tr_n X_n**p."""
@@ -295,15 +323,23 @@ class GaussianProfile:
         is orthogonally (unitarily) invariant."""
         return self.sigma2 * self.beta == 2
 
-    def draw_entries(self, n: int, rng: np.random.Generator):
-        """Diagonal (n,) and strict upper triangle (n(n-1)/2,) of one raw
-        matrix, from one block of standard normals."""
+    def _normals(self, n: int, rngs) -> np.ndarray:
+        """(len(rngs), n + beta * n(n-1)/2) standard normals, one row per
+        generator, drawn by one standard_normal call each."""
+        z = np.empty((len(rngs), n + self.beta * (n * (n - 1) // 2)))
+        for row, rng in zip(z, rngs):
+            rng.standard_normal(out=row)
+        return z
+
+    def draw_entries(self, n: int, rngs):
+        """Diagonals (count, n) and strict upper triangles (count,
+        n(n-1)/2) of raw matrices, one per generator, each from one block
+        of standard normals."""
         m = n * (n - 1) // 2
+        z = self._normals(n, rngs)
         if self.beta == 1:
-            z = rng.standard_normal(n + m)
-            return z[:n] * math.sqrt(self.sigma2), z[n:]
-        z = rng.standard_normal(n + 2 * m)
-        return z[:n] * math.sqrt(self.sigma2), (z[n : n + m] + 1j * z[n + m :]) / math.sqrt(2.0)
+            return z[:, :n] * math.sqrt(self.sigma2), z[:, n:]
+        return z[:, :n] * math.sqrt(self.sigma2), (z[:, n : n + m] + 1j * z[:, n + m :]) / math.sqrt(2.0)
 
     def draw_tridiagonals(self, n: int, rngs):
         """(a, b, first_row) of the raw matrices M that draw_entries draws
@@ -315,9 +351,7 @@ class GaussianProfile:
         (Dumitriu & Edelman, J. Math. Phys. 2002), so the spectrum keeps
         its law."""
         m = n * (n - 1) // 2
-        z = np.empty((len(rngs), n + self.beta * m))
-        for row, rng in zip(z, rngs):
-            rng.standard_normal(out=row)
+        z = self._normals(n, rngs)
         re = z[:, n : n + m]
         if self.beta == 1:
             first_row, squares = re[:, : n - 1], re * re
@@ -330,18 +364,19 @@ class GaussianProfile:
         return z[:, :n] * math.sqrt(self.sigma2), b, first_row
 
     def proposal(self, mech: str, shift: float):
-        """(plant, weight_var): plant(entry, rng) returns the raw entry with
-        its real part redrawn as shift + sd*z (a complex off-diagonal entry
-        keeps its imaginary part) and the log density ratio; weight_var is
-        the exact weight variance expm1(shift**2 / sd**2)."""
+        """(plant, weight_var): plant(entries, rngs) draws one normal z per
+        generator and returns the raw entries with their real parts redrawn
+        as shift + sd*z (complex off-diagonal entries keep their imaginary
+        parts) and the log density ratios; weight_var is the exact weight
+        variance expm1(shift**2 / sd**2)."""
         sd = math.sqrt(self.sigma2 if mech == "diag" else 1.0 / self.beta)
         keep_imag = mech != "diag" and self.beta == 2
 
-        def plant(entry, rng: np.random.Generator):
-            z = float(rng.standard_normal())
+        def plant(entries, rngs):
+            z = np.array([rng.standard_normal() for rng in rngs])
             new = shift + sd * z
             if keep_imag:
-                new = new + 1j * entry.imag
+                new = new + 1j * entries.imag
             return new, -shift * shift / (2.0 * sd * sd) - shift * z / sd
 
         with np.errstate(over="ignore"):  # inf is the honest variance past the float range
@@ -353,7 +388,10 @@ class GaussianProfile:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GaussianProfile":
-        return cls(sigma2=float(obj["sigma2"]), beta=int(obj["beta"]))
+        beta = obj["beta"]
+        if isinstance(beta, float) and beta.is_integer():
+            beta = int(beta)
+        return cls(sigma2=obj["sigma2"], beta=beta)
 
 
 @dataclass(frozen=True)
@@ -375,10 +413,11 @@ class TailProfile:
     normalize_variance: bool = True
 
     def __post_init__(self):
-        if not (0 < self.alpha < 2):
+        _require_positive(alpha=self.alpha, a=self.a, b=self.b, t0=self.t0)
+        if not self.alpha < 2:
             raise ValueError(f"alpha must be in (0, 2), got {self.alpha}")
-        if self.a <= 0 or self.b <= 0 or self.t0 <= 0:
-            raise ValueError("a, b, t0 must be positive")
+        if not isinstance(self.normalize_variance, bool):
+            raise ValueError(f"normalize_variance must be true or false, got {self.normalize_variance!r}")
         if self.phase_diag != "rademacher":
             raise ValueError("diagonal phase law must be rademacher (real entries)")
         if self.phase_offdiag not in _PHASE_LAWS:
@@ -432,23 +471,34 @@ class TailProfile:
             return self._offdiag_law
         raise ValueError(f"role must be diagonal or offdiagonal, got {role!r}")
 
-    def sample_entries(self, role: str, rng: np.random.Generator, size: int) -> np.ndarray:
-        """size entries of one role; moduli and phases are drawn apart, so
+    def draw_role(self, role: str, rngs, size: int) -> np.ndarray:
+        """(len(rngs), size) entries of one role, one row per generator;
+        each draws its moduli and then its phases apart, so
         P(X/|X| in U, |X| >= t) = nu(U) P(|X| >= t) holds at every t."""
-        mod = self.modulus_law(role).sample(rng, size)
+        mod = self.modulus_law(role).draw(rngs, size)
         phase_law = self.phase_diag if role == "diagonal" else self.phase_offdiag
-        return mod * _sample_phase(phase_law, rng, size)
+        if phase_law == "rademacher":
+            bits = np.array([rng.integers(0, 2, size=size) for rng in rngs]).reshape(len(rngs), size)
+            return mod * (bits * 2.0 - 1.0)
+        theta = np.empty((len(rngs), size))
+        for row, rng in zip(theta, rngs):
+            rng.random(out=row)
+        return mod * np.exp(1j * (theta * 2.0 * np.pi))
 
-    def draw_entries(self, n: int, rng: np.random.Generator):
-        """Diagonal (n,) and strict upper triangle (n(n-1)/2,) of one raw
-        matrix, diagonal first."""
-        return self.sample_entries("diagonal", rng, n), self.sample_entries("offdiagonal", rng, n * (n - 1) // 2)
+    def sample_entries(self, role: str, rng: np.random.Generator, size: int) -> np.ndarray:
+        """size entries of one role from one generator: the one-row case of draw_role."""
+        return self.draw_role(role, [rng], size)[0]
+
+    def draw_entries(self, n: int, rngs):
+        """Diagonals (count, n) and strict upper triangles (count,
+        n(n-1)/2) of raw matrices, one per generator, diagonal first."""
+        return self.draw_role("diagonal", rngs, n), self.draw_role("offdiagonal", rngs, n * (n - 1) // 2)
 
     def proposal(self, mech: str, shift: float):
-        """(plant, None): plant(entry, rng) ignores the current entry and
-        returns a modulus tilted by exp(eta t**alpha) toward the shift, with
-        a fresh sign or phase, and the log density ratio; no closed-form
-        weight variance exists."""
+        """(plant, None): plant(entries, rngs) ignores the current entries
+        and returns, per generator, a modulus tilted by exp(eta t**alpha)
+        toward the shift, with a fresh sign or phase, and the log density
+        ratio; no closed-form weight variance exists."""
         law = self.modulus_law("diagonal" if mech == "diag" else "offdiagonal")
         alpha, beta = self.alpha, self.beta
         eta = 0.0
@@ -456,15 +506,17 @@ class TailProfile:
             eta = max(0.0, min(law.c - math.log(2.0) / shift ** alpha, 0.95 * law.c))
         log_Z = math.log(law.tilt_normalizer(eta))
 
-        def plant(entry, rng: np.random.Generator):
-            t = float(law.sample_tilted(eta, rng, 1)[0])
+        def plant(entries, rngs):
+            t = law.sample_tilted(eta, rngs, 1)[:, 0]
+            u = np.array([rng.random() for rng in rngs])
             if mech == "diag":
-                phase = 1.0 if rng.random() < 0.5 else -1.0
+                phase = np.where(u < 0.5, 1.0, -1.0)
             elif beta == 1:
-                phase = -1.0 if rng.random() < 0.5 else 1.0
+                phase = np.where(u < 0.5, -1.0, 1.0)
             else:
-                phase = np.exp(2j * np.pi * rng.random())
-            return phase * t, log_Z - eta * t ** alpha
+                phase = np.exp(2j * np.pi * u)
+            # Python-float powers: numpy's array power differs from them in the last bit
+            return phase * t, np.array([log_Z - eta * v ** alpha for v in t.tolist()])
 
         return plant, None
 
@@ -485,16 +537,10 @@ class TailProfile:
         return cls(alpha=alpha, a=a, b=b, t0=1.1 * t_min, **kw)
 
 
-def _sample_phase(law: str, rng: np.random.Generator, size: int):
-    if law == "rademacher":
-        return rng.integers(0, 2, size=size) * 2.0 - 1.0
-    theta = rng.random(size) * 2.0 * np.pi
-    return np.exp(1j * theta)
-
-
-def draw_wigner_entries(source, n: int, rng: np.random.Generator):
-    """Diagonal (n,) and off-diagonal (n(n-1)/2,) entry draws for one matrix."""
-    return source.draw_entries(n, rng)
+def draw_wigner_entries(source, n: int, rngs):
+    """Diagonals (count, n) and strict upper triangles (count, n(n-1)/2)
+    of raw matrices, one per generator."""
+    return source.draw_entries(n, rngs)
 
 
 @dataclass

@@ -171,6 +171,9 @@ class TestVerifyCommand:
         assert any(c["check"] == "rate_formula_spot_values" for c in failed)
 
 
+TAIL_MODEL = {"kind": "tail", "alpha": 1.0, "a": 1.0, "b": 1.0, "t0": 3.0, "normalize_variance": False}
+
+
 class TestDeviationsCommand:
     CFG = {
         "model": {"kind": "gaussian", "sigma2": 1.0, "beta": 2},
@@ -218,12 +221,29 @@ class TestDeviationsCommand:
         ({"p": 4.5}, "p must be an integer, got 4.5"),
         ({"trials": 50.7}, "trials must be an integer, got 50.7"),
         ({"n_grid": [8.5, 12]}, "n_grid entries must be integers, got [8.5, 12]"),
+        ({"model": {"kind": "gaussian", "sigma2": 1.0, "beta": 2.5}}, "beta must be the integer 1 or 2, got 2.5"),
+        ({"model": {"kind": "gaussian", "sigma2": 1.0, "beta": True}}, "beta must be the integer 1 or 2, got True"),
+        ({"model": {"kind": "gaussian", "sigma2": math.nan, "beta": 2}}, "sigma2 must be a finite positive number, got nan"),
+        ({"model": dict(TAIL_MODEL, normalize_variance="no")}, "normalize_variance must be true or false, got 'no'"),
+        ({"model": dict(TAIL_MODEL, a=math.nan)}, "a must be a finite positive number, got nan"),
+        ({"model": dict(TAIL_MODEL, b=math.inf)}, "b must be a finite positive number, got inf"),
+        ({"model": dict(TAIL_MODEL, t0=math.inf)}, "t0 must be a finite positive number, got inf"),
     ], ids=["method", "offdiag_n1", "diag_n1", "p0", "x_nan", "is_odd_p", "is_x_at_center", "p_fractional",
-            "trials_fractional", "n_grid_fractional"])
+            "trials_fractional", "n_grid_fractional", "beta_fractional", "beta_bool", "sigma2_nan",
+            "normalize_variance_string", "a_nan", "b_inf", "t0_inf"])
     def test_bad_input_exit_2(self, tmp_path, capsys, bad, message):
         code, _ = run_cli(tmp_path, "deviations", dict(self.CFG, **bad))
         assert code == 2
         assert message in capsys.readouterr().err
+
+    def test_integral_float_beta_accepted(self, tmp_path):
+        rows = []
+        for beta, name in ((2, "int"), (2.0, "float")):
+            model = {"kind": "gaussian", "sigma2": 1.0, "beta": beta}
+            code, out = run_cli(tmp_path, "deviations", dict(self.CFG, model=model, n_grid=[8], trials=50), name=name)
+            assert code in (0, 4)
+            rows.append([l for l in out.read_text().splitlines() if not l.startswith("#")])
+        assert rows[0] == rows[1]
 
     def test_threshold_beyond_float_range_exit_2(self, tmp_path, capsys):
         # the planting size n * (x - center) overflows: no NaN rows, no exit 0
@@ -391,7 +411,10 @@ class TestCalibrateCommand:
         ({"t_grid": [0.0]}, "got t=0.0"),
         ({"t_grid": [math.nan]}, "got t=nan"),
         ({"t_grid": [math.inf]}, "got t=inf"),
-    ], ids=["normalize_variance_string", "t_negative", "t_zero", "t_nan", "t_inf"])
+        ({"a": True}, "a must be a finite positive number, got True"),
+        ({"alpha": "1.0"}, "alpha must be a finite positive number, got '1.0'"),
+        ({"t0": math.nan}, "t0 must be a finite positive number, got nan"),
+    ], ids=["normalize_variance_string", "t_negative", "t_zero", "t_nan", "t_inf", "a_bool", "alpha_string", "t0_nan"])
     def test_bad_input_exit_2(self, tmp_path, capsys, bad, message):
         cfg = dict({"alpha": 1.0, "a": 1.0, "t_grid": [4.0], "n_samples": 1000}, **bad)
         code, out = run_cli(tmp_path, "calibrate", cfg)

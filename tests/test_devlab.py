@@ -217,8 +217,7 @@ class TestSinglePass:
         mats = assemble_wigner_batch(prof, 5, [stream(43, 1, k) for k in range(4)])
         before = mats.copy()
         plant, _ = prof.proposal(mech, 2.5)
-        for k in range(len(mats)):
-            devlab._plant_corner(mats[k], mech, plant, stream(44, k))
+        devlab._plant_corners(mats, mech, plant, [stream(44, k) for k in range(len(mats))])
         outside = np.ones((5, 5), dtype=bool)
         outside[:2, :2] = False
         assert np.array_equal(mats[:, outside], before[:, outside])
@@ -245,7 +244,7 @@ class TestCornerUpdatePass:
             rngs = [stream(seed, 1, k) for k in range(n_trials)]
             mats = assemble_wigner_batch(prof, n, rngs)
             base = trace_powers(mats, p) / n ** (p / 2 + 1)
-            ref_logw = [devlab._plant_corner(mats[k], mech, plant, rng) for k, rng in enumerate(rngs)]
+            ref_logw = devlab._plant_corners(mats, mech, plant, rngs)
             dense = trace_powers(mats, p) / n ** (p / 2 + 1)
             assert np.array_equal(values, base) and np.array_equal(logw, ref_logw)
             assert np.all(np.abs(planted - dense) <= 1e-12 * np.maximum(base, dense))
@@ -256,7 +255,7 @@ def _tridiagonal_trial(prof, n, p, rng, mech=None, plant=None):
     """(value, planted value, logw) of one trial built from draw_entries:
     a_i = M_ii and b_i = ||M[i, i+1:]||, the plant at a_1 ("diag") or at
     M[0, 1], with b_1 recomputed ("offdiag")."""
-    diag, off = prof.draw_entries(n, rng)
+    diag, off = (part[0] for part in prof.draw_entries(n, [rng]))
     upper = np.zeros((n, n), dtype=off.dtype)
     upper[np.triu_indices(n, 1)] = off
     a, b = diag.copy(), np.linalg.norm(upper[:-1], axis=1)
@@ -268,9 +267,9 @@ def _tridiagonal_trial(prof, n, p, rng, mech=None, plant=None):
     if plant is None:
         return base, None, None
     if mech == "diag":
-        a[0], logw = plant(diag[0], rng)
+        (a[0],), (logw,) = plant(diag[:1], [rng])
     else:
-        upper[0, 1], logw = plant(upper[0, 1], rng)
+        (upper[0, 1],), (logw,) = plant(upper[0, 1:2], [rng])
         b[0] = np.linalg.norm(upper[0])
     return base, value(), logw
 
@@ -449,15 +448,15 @@ class StubProfile:
     def rate_spec(self, p):
         return None
 
-    def draw_entries(self, n, rng):
-        z = rng.standard_normal(n + n * (n - 1) // 2)
-        return z[:n] * self.sd, z[n:]
+    def draw_entries(self, n, rngs):
+        z = np.array([rng.standard_normal(n + n * (n - 1) // 2) for rng in rngs])
+        return z[:, :n] * self.sd, z[:, n:]
 
     def proposal(self, mech, shift):
         sd = self.sd
 
-        def plant(entry, rng):
-            z = float(rng.standard_normal())
+        def plant(entries, rngs):
+            z = np.array([rng.standard_normal() for rng in rngs])
             return shift + sd * z, -shift * shift / (2.0 * sd * sd) - shift * z / sd
 
         return plant, None  # no closed form: empirical weight-mean error

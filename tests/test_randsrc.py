@@ -28,7 +28,7 @@ def pooled_entries(prof, part, rng, size, n=32):
     triangle), pooled over successive n x n draws from one stream."""
     chunks, got = [], 0
     while got < size:
-        chunks.append(prof.draw_entries(n, rng)[part])
+        chunks.append(prof.draw_entries(n, [rng])[part][0])
         got += chunks[-1].size
     return np.concatenate(chunks)[:size]
 
@@ -164,7 +164,7 @@ class TestTilt:
         law = TailProfile(alpha=1.0, a=1.0, b=1.0, t0=3.0).modulus_law("offdiagonal")
         eta, m = 0.69, 200_000
         Z, tail = tilt_oracle(law, eta)
-        t = law.sample_tilted(eta, stream(23, 0), m)
+        t = law.sample_tilted(eta, [stream(23, 0)], m)[0]
         q = tail / Z
         assert abs(float(np.mean(t > law.t0)) - q) <= 4.0 * se_of_proportion(q, m)
         # E_q[exp(-eta T)] = 1/Z: the identity behind the IS weight
@@ -289,3 +289,85 @@ class TestSerialization:
     def test_gaussian_roundtrip(self):
         prof = GaussianProfile(sigma2=2.0, beta=2)
         assert profile_from_json(prof.to_json()) == prof
+
+
+def reference_modulus(law, rng, size, eta=0.0):
+    """The per-generator modulus sampler that TwoPieceModulus.draw batches:
+    random(size), standard_exponential(k) for the k tail draws, then the
+    core's random(size - k) (eta = 0) or rejection loop (eta > 0)."""
+    tail_mass, rate = (law._tilt(eta)[1], law.c - eta) if eta else (law.tail_mass, law.c)
+    u = rng.random(size)
+    is_tail = u < tail_mass
+    out = np.empty(size)
+    k = int(is_tail.sum())
+    if k:
+        out[is_tail] = (law._t0_alpha + rng.standard_exponential(k) / rate) ** (1.0 / law.alpha)
+    j = size - k
+    if j and not eta:
+        out[~is_tail] = np.minimum(law.s * special.ndtri(0.5 + rng.random(j) * law._core_z), law.t0)
+    elif j:
+        got = np.empty(0)
+        while got.size < j:
+            cand = reference_modulus(law, rng, max(j, 64))
+            cand = cand[cand <= law.t0]
+            acc = rng.random(cand.size) < np.exp(eta * (cand ** law.alpha - law._t0_alpha))
+            got = np.concatenate([got, cand[acc]])
+        out[~is_tail] = got[:j]
+    return out
+
+
+def reference_entries(prof, role, rng, size):
+    """Moduli, then phases, of size entries of one role from one generator."""
+    mod = reference_modulus(prof.modulus_law(role), rng, size)
+    if (prof.phase_diag if role == "diagonal" else prof.phase_offdiag) == "rademacher":
+        return mod * (rng.integers(0, 2, size=size) * 2.0 - 1.0)
+    return mod * np.exp(1j * (rng.random(size) * 2.0 * np.pi))
+
+
+def reference_plant(prof, mech, shift, rng):
+    """(planted entry, logw) of one generator: a tilted modulus, then a sign or phase."""
+    law = prof.modulus_law("diagonal" if mech == "diag" else "offdiagonal")
+    eta = max(0.0, min(law.c - math.log(2.0) / shift ** prof.alpha, 0.95 * law.c)) if shift > 0 else 0.0
+    t = float(reference_modulus(law, rng, 1, eta)[0])
+    if mech == "diag":
+        phase = 1.0 if rng.random() < 0.5 else -1.0
+    elif prof.beta == 1:
+        phase = -1.0 if rng.random() < 0.5 else 1.0
+    else:
+        phase = np.exp(2j * np.pi * rng.random())
+    return phase * t, math.log(law.tilt_normalizer(eta)) - eta * t ** prof.alpha
+
+
+class TestBatchDraws:
+    """Batch draws and plants equal the per-generator reference bit for bit:
+    each generator makes the same calls in the same order.  Odd sizes (n = 5
+    and 7, m = 10 and 21) leave Philox's buffered half-word to the next call.
+    Recorded mutation: drawing the core's uniforms before the exponentials
+    in TwoPieceModulus.draw fails every case."""
+
+    @pytest.mark.parametrize("mech", ["diag", "offdiag"])
+    @pytest.mark.parametrize("shift", [0.0, 2.0], ids=["eta0", "tilted"])
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    @pytest.mark.parametrize("phase", ["rademacher", "uniform_s1"])
+    def test_entries_and_plant_equal_reference(self, phase, alpha, shift, mech):
+        prof = TailProfile(alpha=alpha, a=1.0, b=1.0, t0=2.0, phase_offdiag=phase, normalize_variance=False)
+        plant, _ = prof.proposal(mech, shift)
+        for n in (5, 7):
+            rngs = [stream(70, n, k) for k in range(40)]
+            diag, off = prof.draw_entries(n, rngs)
+            planted, logw = plant(off[:, 0], rngs)
+            for k in range(40):
+                rng = stream(70, n, k)
+                assert diag[k].tobytes() == reference_entries(prof, "diagonal", rng, n).tobytes()
+                assert off[k].tobytes() == reference_entries(prof, "offdiagonal", rng, n * (n - 1) // 2).tobytes()
+                assert (planted[k], logw[k]) == reference_plant(prof, mech, shift, rng)
+            if shift:  # both branches of the tilted plant: tail moduli above t0, core ones below
+                assert 0 < np.count_nonzero(np.abs(planted) > 2.0) < 40
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_tilted_rows_equal_reference(self, alpha):
+        # seven draws per generator: the rejection loop fills several core draws at once
+        law = TailProfile(alpha=alpha, a=1.0, b=1.0, t0=2.0, normalize_variance=False).modulus_law("offdiagonal")
+        rows = law.sample_tilted(0.6, [stream(71, k) for k in range(20)], 7)
+        ref = np.array([reference_modulus(law, stream(71, k), 7, 0.6) for k in range(20)])
+        assert rows.tobytes() == ref.tobytes()

@@ -63,7 +63,7 @@ class TestAssemble:
         batch = assemble_wigner_batch(prof, n, [stream(3, n, k) for k in range(5)])
         assert batch.shape == (5, n, n)
         for k in range(5):
-            diag, off = draw_wigner_entries(prof, n, stream(3, n, k))
+            diag, off = (part[0] for part in draw_wigner_entries(prof, n, [stream(3, n, k)]))
             upper = np.zeros((n, n), dtype=complex if prof.beta == 2 else float)
             upper[np.triu_indices(n, k=1)] = off
             upper[np.diag_indices(n)] = diag
