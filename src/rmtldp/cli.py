@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -66,6 +67,14 @@ def _integral(config: dict, key: str, default=None) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return int(value)
+
+
+def _number(config: dict, key: str, default=None) -> float:
+    """config[key] (or default) as a float; only a JSON number is one, not a bool or a string."""
+    value = config[key] if default is None else config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 def _boolean(config: dict, key: str) -> bool:
@@ -130,9 +139,11 @@ def _plain_json(v):
 def cmd_rate(config: dict, seed: int, out, fmt: str) -> int:
     spec = RateSpec.from_json(config["spec"])
     grid = config.get("grid", {})
-    lo = float(grid.get("lo", spec.center))
-    hi = float(grid.get("hi", spec.center + 2.0))
+    lo = _number(grid, "lo", spec.center)
+    hi = _number(grid, "hi", spec.center + 2.0)
     num = _integral(grid, "num", 41)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"grid lo and hi must be finite, got lo={lo}, hi={hi}")
     if num < 1:
         raise ValueError(f"grid num must be >= 1, got {num}")
     xs = np.linspace(lo, hi, num)
@@ -149,9 +160,9 @@ def cmd_rate(config: dict, seed: int, out, fmt: str) -> int:
 def cmd_varopt(config: dict, seed: int, out, fmt: str) -> int:
     try:
         res = solve_rate_constant(
-            alpha=float(config["alpha"]),
-            a=float(config["a"]),
-            b=float(config["b"]),
+            alpha=_number(config, "alpha"),
+            a=_number(config, "a"),
+            b=_number(config, "b"),
             p=_integral(config, "p"),
             n_max=_integral(config, "n_max", 6),
             budget=_integral(config, "budget", 64),
@@ -169,7 +180,7 @@ def cmd_deviations(config: dict, seed: int, out, fmt: str) -> int:
     scan = rate_slope_scan(
         model,
         p=_integral(config, "p"),
-        x=float(config["x"]),
+        x=_number(config, "x"),
         n_grid=config["n_grid"],
         trials_per_n=_integral(config, "trials", 2000),
         seed=seed,
@@ -344,7 +355,11 @@ def cmd_verify(config: dict, seed: int, out, fmt: str) -> int:
     all_ok = True
     for name, fn in _verify_checks(seed):
         t0 = time.perf_counter()
-        ok, detail = fn()
+        try:
+            ok, detail = fn()
+        except Exception as exc:  # a check that raises has failed; the other checks still run
+            traceback.print_exc()
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
         # wall time varies run to run, so it stays out of the artifact
         sys.stderr.write(f"{name} {time.perf_counter() - t0:.4f} s\n")
         results.append({"check": name, "pass": bool(ok), "detail": detail})
@@ -355,14 +370,16 @@ def cmd_verify(config: dict, seed: int, out, fmt: str) -> int:
 
 # ---------------------------------------------------------------------------
 
+COMMANDS = {"sample": cmd_sample, "rate": cmd_rate, "varopt": cmd_varopt,
+            "deviations": cmd_deviations, "verify": cmd_verify, "calibrate": cmd_calibrate}
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="rmtldp",
         description="simulation lab for large deviations of random-matrix trace moments",
     )
-    parser.add_argument("--command", required=True,
-                        choices=["sample", "rate", "varopt", "deviations", "verify", "calibrate"])
+    parser.add_argument("--command", required=True, choices=COMMANDS)
     parser.add_argument("--config", help="path to a JSON configuration file")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="output path (default stdout)")
@@ -382,22 +399,10 @@ def main(argv=None) -> int:
             return EXIT_INVALID
 
     try:
-        if args.command == "rate":
-            return cmd_rate(config, args.seed, args.out, args.format)
-        if args.command == "varopt":
-            return cmd_varopt(config, args.seed, args.out, args.format)
-        if args.command == "deviations":
-            return cmd_deviations(config, args.seed, args.out, args.format)
-        if args.command == "sample":
-            return cmd_sample(config, args.seed, args.out, args.format)
-        if args.command == "calibrate":
-            return cmd_calibrate(config, args.seed, args.out, args.format)
-        if args.command == "verify":
-            return cmd_verify(config, args.seed, args.out, args.format)
-    except (KeyError, ValueError, TypeError) as exc:
+        return COMMANDS[args.command](config, args.seed, args.out, args.format)
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:  # overflow: a JSON integer past the float range
         sys.stderr.write(f"invalid input: {exc}\n")
         return EXIT_INVALID
-    return EXIT_INVALID
 
 
 def entrypoint() -> None:

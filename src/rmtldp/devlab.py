@@ -8,8 +8,8 @@ only on the profile's ``is_invariant``:
 * an invariant profile (the GOE and the GUE) builds no matrix.  Its
   ``draw_tridiagonals`` reduces each trial's normals to a tridiagonal
   (a_i = M_ii, b_i = ||M[i, i+1:]||) with the law of M's spectrum, and
-  trace powers come from that (O(n p**2) per matrix).  A plant replaces
-  a_1, or the entry M[0, 1] and then b_1 = ||M[0, 1:]||;
+  trace powers come from that (O(n p**2) per matrix).  Its mechanism is
+  "diag", so a plant replaces a_1 = M[0, 0];
 * any other profile assembles the raw dense matrix and takes its trace
   power without a rescaled copy.  A plant writes its entry into a copy of
   the matrix's 2x2 corner: the planted trace power is a rank-2 update of
@@ -34,7 +34,8 @@ Each works on a whole batch: the plant ``plant(entries, rngs)`` maps the
 batch's current raw entries to (planted entries, log density ratios), and
 a batch consumes each trial's generator in the same order as a trial
 drawn alone.  The position is this module's: (1,1) for the "diag"
-mechanism, (1,2) and its conjugate (2,1) for "offdiag".  A threshold
+mechanism, (1,2) and its conjugate (2,1) for "offdiag"; an invariant
+profile whose mechanism is not "diag" raises ValueError.  A threshold
 whose planting size or trace powers leave the float range raises
 ValueError.
 
@@ -92,8 +93,8 @@ def _trial_values(model, n: int, p: int, n_trials: int, seed: int, plant=None):
     None.  With one, each batch's plant draws, from each trial's stream
     after its entries, an entry and its log density ratio (``logw``),
     placed at the position of model.mechanism(p).  An invariant profile's
-    trials are tridiagonals: _plant_tridiagonals plants into them in place,
-    after their unplanted values are taken.  Otherwise _plant_corners writes
+    trials are tridiagonals (a, b), planted at a_1 in place after their
+    unplanted values are taken.  Otherwise _plant_corners writes
     the entries into a copy of the matrices' [:2, :2] corners; a planted matrix
     differs from the unplanted one only there, so ``planted`` is the
     unplanted value plus the rank-2 update of
@@ -111,14 +112,16 @@ def _trial_values(model, n: int, p: int, n_trials: int, seed: int, plant=None):
     if plant is not None:
         planted, logw = np.empty(n_trials), np.empty(n_trials)
         mech = model.mechanism(p)
+        if model.is_invariant and mech != "diag":
+            raise ValueError(f"an invariant profile plants at (1,1), got mechanism {mech!r}")
     for start, rngs in _batches(n_trials, seed, 1):
         stop = start + len(rngs)
         with np.errstate(over="ignore", invalid="ignore"):  # the estimators raise on non-finite values
             if model.is_invariant:
-                a, b, first_row = model.draw_tridiagonals(n, rngs)
+                a, b = model.draw_tridiagonals(n, rngs)
                 values[start:stop] = _normalized_trace_powers((a, b), p)
                 if plant is not None:
-                    logw[start:stop] = _plant_tridiagonals(a, b, first_row, mech, plant, rngs)
+                    a[:, 0], logw[start:stop] = plant(a[:, 0], rngs)
                     planted[start:stop] = _normalized_trace_powers((a, b), p)
             else:
                 mats = _dense_trial_matrix(model, n, rngs)
@@ -141,18 +144,6 @@ def _plant_corners(mats: np.ndarray, mech: str, plant, rngs) -> np.ndarray:
     else:
         mats[:, 0, 1], logw = plant(mats[:, 0, 1], rngs)
         mats[:, 1, 0] = np.conj(mats[:, 0, 1])
-    return logw
-
-
-def _plant_tridiagonals(a: np.ndarray, b: np.ndarray, first_row: np.ndarray, mech: str, plant, rngs) -> np.ndarray:
-    """Write plant's draws into a stack of tridiagonals, one generator
-    each: a_1 = M[0, 0] for "diag"; for "offdiag" M[0, 1] in first_row,
-    then b_1 = ||M[0, 1:]||.  Returns the logw."""
-    if mech == "diag":
-        a[:, 0], logw = plant(a[:, 0], rngs)
-    else:
-        first_row[:, 0], logw = plant(first_row[:, 0], rngs)
-        b[:, 0] = np.linalg.norm(first_row, axis=1)
     return logw
 
 

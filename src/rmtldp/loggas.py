@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import trace_powers, tridiagonal_eigvals
+from .rates import require_finite, require_positive
 from .rng import stream
 from .stats import DeviationEstimate, batch_mean_stderr, binomial_estimate, geweke_z
 
@@ -61,16 +62,14 @@ class Potential:
     w_coef: float = 0.0
 
     def __post_init__(self):
-        if self.b <= 0:
-            raise ValueError(f"b must be positive, got {self.b}")
+        require_positive(b=self.b, alpha=self.alpha, beta=self.beta)
+        require_finite(w_coef=self.w_coef)
         if self.alpha < 2:
             raise ValueError(f"alpha must be >= 2, got {self.alpha}")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
         if self.w_kind not in _W_KINDS:
             raise ValueError(f"remainder must be one of {_W_KINDS}, got {self.w_kind!r}")
         if self.w_coef < 0:
-            raise ValueError("remainder coefficient must be nonnegative")
+            raise ValueError(f"w_coef must be nonnegative, got {self.w_coef}")
         if self.w_kind == "quadratic" and self.w_coef > 0 and not self.alpha > 2:
             raise ValueError("quadratic remainder requires alpha > 2")
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy import integrate, special
 
-from .rates import RateSpec
+from .rates import RateSpec, require_positive
 
 __all__ = [
     "CalibrationError",
@@ -61,14 +61,6 @@ _PHASE_LAWS = ("rademacher", "uniform_s1")
 
 class CalibrationError(ValueError):
     """Requested entry law cannot meet the variance constraint."""
-
-
-def _require_positive(**fields) -> None:
-    """Raise, naming the field, unless each value is a finite positive real
-    number (a bool is not one)."""
-    for name, value in fields.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
 def _norm_cdf(x: float) -> float:
@@ -300,7 +292,7 @@ class GaussianProfile:
     beta: int = 1
 
     def __post_init__(self):
-        _require_positive(sigma2=self.sigma2)
+        require_positive(sigma2=self.sigma2)
         if isinstance(self.beta, bool) or not isinstance(self.beta, numbers.Integral) or self.beta not in (1, 2):
             raise ValueError(f"beta must be the integer 1 or 2, got {self.beta!r}")
 
@@ -342,26 +334,20 @@ class GaussianProfile:
         return z[:, :n] * math.sqrt(self.sigma2), (z[:, n : n + m] + 1j * z[:, n + m :]) / math.sqrt(2.0)
 
     def draw_tridiagonals(self, n: int, rngs):
-        """(a, b, first_row) of the raw matrices M that draw_entries draws
-        from rngs, each rng consumed exactly as draw_entries consumes it:
-        a = diag M (count, n), b_i = ||M[i, i+1:]|| (count, n - 1), the
-        norm of row i's strict upper part, and first_row = M[0, 1:]
-        (count, n - 1).  (a, b) is not M's own tridiagonalization, but for
-        an invariant profile it has the law of M's Householder tridiagonal
-        (Dumitriu & Edelman, J. Math. Phys. 2002), so the spectrum keeps
-        its law."""
+        """(a, b) of the raw matrices M that draw_entries draws from rngs,
+        each rng consumed exactly as draw_entries consumes it: a = diag M
+        (count, n) and b_i = ||M[i, i+1:]|| (count, n - 1), the norm of
+        row i's strict upper part.  (a, b) is not M's own
+        tridiagonalization, but for an invariant profile it has the law of
+        M's Householder tridiagonal (Dumitriu & Edelman, J. Math. Phys.
+        2002), so the spectrum keeps its law."""
         m = n * (n - 1) // 2
         z = self._normals(n, rngs)
-        re = z[:, n : n + m]
-        if self.beta == 1:
-            first_row, squares = re[:, : n - 1], re * re
-        else:
-            im = z[:, n + m :]
-            first_row = (re[:, : n - 1] + 1j * im[:, : n - 1]) / math.sqrt(2.0)
-            squares = (re * re + im * im) / 2.0
+        re, im = z[:, n : n + m], z[:, n + m :]
+        squares = re * re if self.beta == 1 else (re * re + im * im) / 2.0
         row_starts = np.r_[0, np.cumsum(np.arange(n - 1, 1, -1))]
         b = np.sqrt(np.add.reduceat(squares, row_starts, axis=1))
-        return z[:, :n] * math.sqrt(self.sigma2), b, first_row
+        return z[:, :n] * math.sqrt(self.sigma2), b
 
     def proposal(self, mech: str, shift: float):
         """(plant, weight_var): plant(entries, rngs) draws one normal z per
@@ -413,7 +399,7 @@ class TailProfile:
     normalize_variance: bool = True
 
     def __post_init__(self):
-        _require_positive(alpha=self.alpha, a=self.a, b=self.b, t0=self.t0)
+        require_positive(alpha=self.alpha, a=self.a, b=self.b, t0=self.t0)
         if not self.alpha < 2:
             raise ValueError(f"alpha must be in (0, 2), got {self.alpha}")
         if not isinstance(self.normalize_variance, bool):

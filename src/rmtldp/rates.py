@@ -22,6 +22,7 @@ the infinite branch.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -36,6 +37,8 @@ __all__ = [
     "RateSpec",
     "speed_exponent",
     "rate_value",
+    "require_finite",
+    "require_positive",
     "gaussian_entry_cost",
     "deformed_trace_limit",
     "hollow_witness",
@@ -43,7 +46,32 @@ __all__ = [
     "trace_linearization_discrepancy",
 ]
 
-_THEOREMS = ("beta_ensemble", "gaussian", "wigner_no_gaussian_tail", "truncated_moment")
+# theorem -> (params, p) -> (rate coefficient, rate exponent, speed exponent)
+_THEOREMS = {
+    "beta_ensemble": lambda q, p: (q["b"], q["alpha"] / p, 1.0 + q["alpha"] / p),
+    "gaussian": lambda q, p: (0.5 * min(1.0 / q["sigma2"], q["beta"] / 2.0), 2.0 / p, 1.0 + 2.0 / p),
+    "wigner_no_gaussian_tail": lambda q, p: (q["c_p"], q["alpha"] / p, q["alpha"] * (0.5 + 1.0 / p)),
+    "truncated_moment": lambda q, p: (q["b"], q["alpha"] / p, 1.0 + q["alpha"] / p),
+}
+
+
+def _is_real(value) -> bool:
+    """A finite real number; a bool is not one."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+def require_finite(**fields) -> None:
+    """Raise, naming the field, unless each value is a finite real number."""
+    for name, value in fields.items():
+        if not _is_real(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def require_positive(**fields) -> None:
+    """Raise, naming the field, unless each value is a finite positive real number."""
+    for name, value in fields.items():
+        if not (_is_real(value) and value > 0):
+            raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
 @lru_cache(maxsize=None)
@@ -87,10 +115,16 @@ class RateSpec:
             raise ValueError(f"p must be an integer >= 1, got {self.p!r}")
         if self.theorem in ("gaussian", "wigner_no_gaussian_tail") and self.p < 3:
             raise ValueError(f"{self.theorem} requires p >= 3, got p={self.p}")
-        if self.theorem == "beta_ensemble":
-            alpha = self.params["alpha"]
-            if not self.p > alpha:
-                raise ValueError(f"beta_ensemble requires p > alpha, got p={self.p}, alpha={alpha}")
+        # sigma2, beta, c_p, b and alpha are all positive
+        require_positive(**self.params)
+        require_finite(center=self.center)
+        q = self.params
+        if self.theorem == "gaussian" and q["beta"] not in (1, 2):
+            raise ValueError(f"beta must be 1 or 2, got {q['beta']!r}")
+        if self.theorem == "wigner_no_gaussian_tail" and not q["alpha"] < 2:
+            raise ValueError(f"wigner_no_gaussian_tail requires alpha < 2, got alpha={q['alpha']}")
+        if self.theorem == "beta_ensemble" and not self.p > q["alpha"]:
+            raise ValueError(f"beta_ensemble requires p > alpha, got p={self.p}, alpha={q['alpha']}")
 
     # -- constructors ---------------------------------------------------
 
@@ -118,40 +152,22 @@ class RateSpec:
         p = obj["p"]
         if isinstance(p, float) and p.is_integer():
             p = int(p)  # JSON may write a count as 4.0; 4.5 stays and is rejected
-        return cls(obj["theorem"], p, dict(obj["params"]), float(obj["center"]))
+        return cls(obj["theorem"], p, dict(obj["params"]), obj["center"])
 
 
 def speed_exponent(spec: RateSpec) -> float:
     """Exponent s with LDP speed n**s."""
-    p = spec.p
-    if spec.theorem == "gaussian":
-        return 1.0 + 2.0 / p
-    if spec.theorem == "wigner_no_gaussian_tail":
-        return spec.params["alpha"] * (0.5 + 1.0 / p)
-    # beta_ensemble and truncated_moment share 1 + alpha/p
-    return 1.0 + spec.params["alpha"] / p
-
-
-def _coefficient(spec: RateSpec) -> float:
-    if spec.theorem == "gaussian":
-        return 0.5 * min(1.0 / spec.params["sigma2"], spec.params["beta"] / 2.0)
-    if spec.theorem == "wigner_no_gaussian_tail":
-        return spec.params["c_p"]
-    return spec.params["b"]
+    return _THEOREMS[spec.theorem](spec.params, spec.p)[2]
 
 
 def rate_value(spec: RateSpec, x: float) -> float:
     """Rate function at x; math.inf on the forbidden branch."""
-    p = spec.p
-    coef = _coefficient(spec)
-    expo = 2.0 / p if spec.theorem == "gaussian" else spec.params["alpha"] / p
-    if p % 2 == 0:
-        u = x - spec.center
-        if u < 0:
-            return math.inf
-        return coef * u ** expo
+    coef, expo, _ = _THEOREMS[spec.theorem](spec.params, spec.p)
+    u = x - spec.center
+    if spec.p % 2 == 0:
+        return math.inf if u < 0 else coef * u ** expo
     # odd p: symmetric power law about the center (0 for the Wigner models)
-    return coef * abs(x - spec.center) ** expo
+    return coef * abs(u) ** expo
 
 
 def gaussian_entry_cost(H: HermMatrix, sigma2: float) -> float:

@@ -171,9 +171,11 @@ def solve_rate_constant(
     Combines the two structured candidates (single diagonal entry, cost b;
     2x2 off-diagonal pair with modulus 2**(-1/p), cost a 2**(-alpha/p))
     with projected-gradient descent from random sparse supports of size
-    <= 6 in dimension <= n_max.  For even p the result must land inside
-    the proven bracket [min(b, a/2), min(b, 2**(-alpha/p) a)]; a violation
-    raises CertificateError.
+    <= 6 in dimension <= n_max <= 12 (six entries span at most 12
+    indices, so a larger dimension only relabels the same candidates).
+    For even p the result must land inside the proven bracket
+    [min(b, a/2), min(b, 2**(-alpha/p) a)]; a violation raises
+    CertificateError.
     """
     if p < 3:
         raise ValueError(f"p must be >= 3, got {p}")
@@ -181,8 +183,8 @@ def solve_rate_constant(
         raise ValueError(f"alpha must be in (0, 2), got {alpha}")
     if not (0 < a < math.inf and 0 < b < math.inf):
         raise ValueError(f"a and b must be finite and > 0, got a={a}, b={b}")
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
+    if not 2 <= n_max <= 2 * _MAX_SUPPORT:
+        raise ValueError(f"n_max must be in [2, {2 * _MAX_SUPPORT}], got {n_max}")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
 

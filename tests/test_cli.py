@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rmtldp import cli
+from rmtldp import cli, rates
 from rmtldp.varopt import CertificateError
 
 
@@ -74,6 +74,32 @@ class TestRateCommand:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, grid, message", [
+        ({"params": {"sigma2": -1.0, "beta": 2}}, {}, "sigma2 must be a finite positive number, got -1.0"),
+        ({"params": {"sigma2": 1.0, "beta": 3}}, {}, "beta must be 1 or 2, got 3"),
+        ({"params": {"sigma2": 1.0, "beta": True}}, {}, "beta must be a finite positive number, got True"),
+        ({"theorem": "wigner_no_gaussian_tail", "params": {"c_p": 1.0, "alpha": 5.0}}, {},
+         "wigner_no_gaussian_tail requires alpha < 2, got alpha=5.0"),
+        ({"theorem": "wigner_no_gaussian_tail", "params": {"c_p": 0.0, "alpha": 1.0}}, {},
+         "c_p must be a finite positive number, got 0.0"),
+        ({"theorem": "truncated_moment", "params": {"b": math.inf, "alpha": 1.0}}, {},
+         "b must be a finite positive number, got inf"),
+        ({"theorem": "beta_ensemble", "params": {"b": 1.0, "alpha": math.nan}}, {},
+         "alpha must be a finite positive number, got nan"),
+        ({"center": math.nan}, {}, "center must be a finite number, got nan"),
+        ({"center": "2.0"}, {}, "center must be a finite number, got '2.0'"),
+        ({}, {"lo": math.nan}, "grid lo and hi must be finite, got lo=nan, hi=4.0"),
+        ({}, {"hi": math.inf}, "grid lo and hi must be finite, got lo=2.0, hi=inf"),
+        ({}, {"lo": "2"}, "lo must be a number, got '2'"),
+        ({}, {"hi": True}, "hi must be a number, got True"),
+    ], ids=["sigma2_negative", "beta_3", "beta_bool", "wg_alpha_5", "c_p_zero", "b_inf", "alpha_nan", "center_nan",
+            "center_string", "lo_nan", "hi_inf", "lo_string", "hi_bool"])
+    def test_bad_domain_exit_2(self, tmp_path, capsys, spec, grid, message):
+        cfg = {"spec": dict(RATE_CFG["spec"], **spec), "grid": dict(RATE_CFG["grid"], **grid)}
+        code, out = run_cli(tmp_path, "rate", cfg)
+        assert code == 2 and not out.exists()
+        assert message in capsys.readouterr().err
+
     def test_integral_float_p_accepted(self, tmp_path):
         _, out = run_cli(tmp_path, "rate", RATE_CFG, name="int")
         code, out_f = run_cli(tmp_path, "rate", dict(RATE_CFG, spec=dict(RATE_CFG["spec"], p=4.0)), name="float")
@@ -118,14 +144,18 @@ class TestVaroptCommand:
     @pytest.mark.parametrize("bad, message", [
         ({"a": -1}, "a and b must be finite and > 0"),
         ({"b": 0}, "a and b must be finite and > 0"),
-        ({"a": "inf"}, "a and b must be finite and > 0"),
+        ({"a": math.inf}, "a and b must be finite and > 0"),
         ({"budget": -1}, "budget must be >= 0"),
         ({"p": 4.5}, "p must be an integer, got 4.5"),
         ({"budget": 16.5}, "budget must be an integer, got 16.5"),
         ({"n_max": 6.5}, "n_max must be an integer, got 6.5"),
         ({"p": True}, "p must be an integer, got True"),
+        ({"a": "1.0"}, "a must be a number, got '1.0'"),
+        ({"alpha": True}, "alpha must be a number, got True"),
+        ({"b": None}, "b must be a number, got None"),
+        ({"n_max": 13}, "n_max must be in [2, 12], got 13"),
     ], ids=["a_negative", "b_zero", "a_inf", "budget_negative", "p_fractional", "budget_fractional",
-            "n_max_fractional", "p_bool"])
+            "n_max_fractional", "p_bool", "a_string", "alpha_bool", "b_null", "n_max_13"])
     def test_bad_input_exit_2(self, tmp_path, capsys, bad, message):
         cfg = dict({"alpha": 1.0, "a": 1.0, "b": 1.0, "p": 4, "budget": 4}, **bad)
         code, _ = run_cli(tmp_path, "varopt", cfg, fmt="json")
@@ -169,6 +199,18 @@ class TestVerifyCommand:
         doc = json.loads(out.read_text())
         failed = [c for c in doc["checks"] if not c["pass"]]
         assert any(c["check"] == "rate_formula_spot_values" for c in failed)
+
+    def test_raising_check_fails(self, tmp_path, monkeypatch):
+        # hollow_witness asserts its own exactness, so a shifted limit raises inside the check
+        shifted = rates.deformed_trace_limit
+        monkeypatch.setattr(rates, "deformed_trace_limit", lambda H, p: shifted(H, p) + 1e-6)
+        code, out = run_cli(tmp_path, "verify", {}, fmt="json")
+        assert code == 1
+        doc = json.loads(out.read_text())
+        failed = {c["check"]: c["detail"] for c in doc["checks"] if not c["pass"]}
+        assert list(failed) == ["hollow_witness_exactness"]
+        assert failed["hollow_witness_exactness"].startswith("AssertionError: witness construction off")
+        assert doc["all_pass"] is False
 
 
 TAIL_MODEL = {"kind": "tail", "alpha": 1.0, "a": 1.0, "b": 1.0, "t0": 3.0, "normalize_variance": False}
@@ -215,7 +257,7 @@ class TestDeviationsCommand:
          "n must be >= 2"),
         ({"n_grid": [1], "x": 3.0, "method": "auto"}, "n must be >= 2"),
         ({"p": 0}, "x must be finite and p an integer >= 1"),
-        ({"x": "nan"}, "x must be finite and p an integer >= 1"),
+        ({"x": math.nan}, "x must be finite and p an integer >= 1"),
         ({"p": 3, "x": 3.0, "method": "planted_is"}, "planted_is is impossible here: p=3 is odd"),
         ({"x": 2.0, "method": "planted_is"}, "planted_is is impossible here: x=2.0 is not above the center"),
         ({"p": 4.5}, "p must be an integer, got 4.5"),
@@ -228,9 +270,12 @@ class TestDeviationsCommand:
         ({"model": dict(TAIL_MODEL, a=math.nan)}, "a must be a finite positive number, got nan"),
         ({"model": dict(TAIL_MODEL, b=math.inf)}, "b must be a finite positive number, got inf"),
         ({"model": dict(TAIL_MODEL, t0=math.inf)}, "t0 must be a finite positive number, got inf"),
+        ({"x": True}, "x must be a number, got True"),
+        ({"x": "3"}, "x must be a number, got '3'"),
+        ({"x": 10 ** 400}, "int too large to convert to float"),
     ], ids=["method", "offdiag_n1", "diag_n1", "p0", "x_nan", "is_odd_p", "is_x_at_center", "p_fractional",
             "trials_fractional", "n_grid_fractional", "beta_fractional", "beta_bool", "sigma2_nan",
-            "normalize_variance_string", "a_nan", "b_inf", "t0_inf"])
+            "normalize_variance_string", "a_nan", "b_inf", "t0_inf", "x_bool", "x_string", "x_huge_integer"])
     def test_bad_input_exit_2(self, tmp_path, capsys, bad, message):
         code, _ = run_cli(tmp_path, "deviations", dict(self.CFG, **bad))
         assert code == 2
@@ -360,6 +405,21 @@ class TestSampleCommand:
     ], ids=["N_fractional", "sweeps_fractional", "sweeps_negative", "n_string"])
     def test_non_integral_count_exit_2(self, tmp_path, capsys, bad, message):
         cfg = dict({"what": "loggas", "potential": {"b": 0.25, "alpha": 2.0, "beta": 1.0}, "N": 8, "sweeps": 5}, **bad)
+        code, _ = run_cli(tmp_path, "sample", cfg, fmt="json")
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("potential, message", [
+        ({"b": math.nan}, "b must be a finite positive number, got nan"),
+        ({"b": True}, "b must be a finite positive number, got True"),
+        ({"alpha": math.inf}, "alpha must be a finite positive number, got inf"),
+        ({"beta": math.nan}, "beta must be a finite positive number, got nan"),
+        ({"w_kind": "abs", "w_coef": math.nan}, "w_coef must be a finite number, got nan"),
+        ({"w_kind": "abs", "w_coef": -0.5}, "w_coef must be nonnegative, got -0.5"),
+    ], ids=["b_nan", "b_bool", "alpha_inf", "beta_nan", "w_coef_nan", "w_coef_negative"])
+    def test_bad_potential_exit_2(self, tmp_path, capsys, potential, message):
+        cfg = {"what": "loggas", "potential": dict({"b": 0.25, "alpha": 2.0, "beta": 1.0}, **potential), "N": 4,
+               "sweeps": 3}
         code, _ = run_cli(tmp_path, "sample", cfg, fmt="json")
         assert code == 2
         assert message in capsys.readouterr().err

@@ -251,10 +251,9 @@ class TestCornerUpdatePass:
             assert not np.array_equal(planted, values)
 
 
-def _tridiagonal_trial(prof, n, p, rng, mech=None, plant=None):
+def _tridiagonal_trial(prof, n, p, rng, plant=None):
     """(value, planted value, logw) of one trial built from draw_entries:
-    a_i = M_ii and b_i = ||M[i, i+1:]||, the plant at a_1 ("diag") or at
-    M[0, 1], with b_1 recomputed ("offdiag")."""
+    a_i = M_ii and b_i = ||M[i, i+1:]||, the plant at a_1."""
     diag, off = (part[0] for part in prof.draw_entries(n, [rng]))
     upper = np.zeros((n, n), dtype=off.dtype)
     upper[np.triu_indices(n, 1)] = off
@@ -266,11 +265,7 @@ def _tridiagonal_trial(prof, n, p, rng, mech=None, plant=None):
     base = value()
     if plant is None:
         return base, None, None
-    if mech == "diag":
-        (a[0],), (logw,) = plant(diag[:1], [rng])
-    else:
-        (upper[0, 1],), (logw,) = plant(upper[0, 1:2], [rng])
-        b[0] = np.linalg.norm(upper[0])
+    (a[0],), (logw,) = plant(diag[:1], [rng])
     return base, value(), logw
 
 
@@ -291,17 +286,15 @@ class TestInvariantPass:
         values, _, _ = devlab._trial_values(prof, n, 4, 4000, 60 + n)
         assert abs(values.mean() - exact) <= 4.0 * values.std(ddof=1) / math.sqrt(values.size)
 
-    @pytest.mark.parametrize("mech", ["diag", "offdiag", None])
+    @pytest.mark.parametrize("mech", ["diag", None])
     @pytest.mark.parametrize("prof", [GOE, GAUSS2], ids=["goe", "gue"])
-    def test_values_match_per_trial_tridiagonals(self, prof, mech, monkeypatch):
-        # 300 trials cross the 256-trial batch boundary; both plant positions
+    def test_values_match_per_trial_tridiagonals(self, prof, mech):
+        # 300 trials cross the 256-trial batch boundary
         n, p, seed = 7, 4, 61
-        plant = None
-        if mech is not None:
-            monkeypatch.setattr(GaussianProfile, "mechanism", lambda self, p: mech)
-            plant, _ = prof.proposal(mech, 2.5)
+        assert prof.mechanism(p) == "diag"
+        plant = None if mech is None else prof.proposal(mech, 2.5)[0]
         values, planted, logw = devlab._trial_values(prof, n, p, 300, seed, plant)
-        ref = [_tridiagonal_trial(prof, n, p, stream(seed, 1, k), mech, plant) for k in range(300)]
+        ref = [_tridiagonal_trial(prof, n, p, stream(seed, 1, k), plant) for k in range(300)]
         ref_values, ref_planted, ref_logw = (np.array(col, dtype=float) for col in zip(*ref))
         np.testing.assert_allclose(values, ref_values, rtol=1e-12)
         if plant is None:
@@ -310,6 +303,12 @@ class TestInvariantPass:
             assert np.array_equal(logw, ref_logw)
             np.testing.assert_allclose(planted, ref_planted, rtol=1e-12)
             assert not np.array_equal(planted, values)
+
+    def test_offdiag_mechanism_rejected(self, monkeypatch):
+        # an invariant trial keeps only (a, b), so it has no (1,2) entry to plant
+        monkeypatch.setattr(GaussianProfile, "mechanism", lambda self, p: "offdiag")
+        with pytest.raises(ValueError, match=re.escape("an invariant profile plants at (1,1), got mechanism 'offdiag'")):
+            estimate_tail_planted_is(GAUSS2, 8, 4, 3.0, 10, seed=49)
 
     @pytest.mark.parametrize("prof, x", [(GOE, 3.0), (GAUSS2, 2.2)], ids=["goe", "gue"])
     def test_exceedance_agrees_with_dense(self, prof, x, monkeypatch):
@@ -394,7 +393,7 @@ class TestFloatRange:
 
     def test_naive_rejects_overflowed_tridiagonal_trace_power(self, monkeypatch):
         def huge(self, n, rngs):
-            return np.full((len(rngs), n), 1e200), np.full((len(rngs), n - 1), 1e200), None
+            return np.full((len(rngs), n), 1e200), np.full((len(rngs), n - 1), 1e200)
 
         monkeypatch.setattr(GaussianProfile, "draw_tridiagonals", huge)
         with warnings.catch_warnings():
