@@ -69,12 +69,25 @@ def _integral(config: dict, key: str, default=None) -> int:
     return int(value)
 
 
+def _is_number(value) -> bool:
+    """Only a JSON number is one, not a bool or a string."""
+    return not isinstance(value, bool) and isinstance(value, (int, float))
+
+
 def _number(config: dict, key: str, default=None) -> float:
-    """config[key] (or default) as a float; only a JSON number is one, not a bool or a string."""
+    """config[key] (or default) as a float (see _is_number)."""
     value = config[key] if default is None else config.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ValueError(f"{key} must be a number, got {value!r}")
     return float(value)
+
+
+def _list(config: dict, key: str) -> list:
+    """config[key], which must be a JSON list."""
+    value = config[key]
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a JSON list, got {value!r}")
+    return value
 
 
 def _boolean(config: dict, key: str) -> bool:
@@ -181,13 +194,15 @@ def cmd_deviations(config: dict, seed: int, out, fmt: str) -> int:
         model,
         p=_integral(config, "p"),
         x=_number(config, "x"),
-        n_grid=config["n_grid"],
+        n_grid=_list(config, "n_grid"),
         trials_per_n=_integral(config, "trials", 2000),
         seed=seed,
         method=config.get("method", "auto"),
     )
     meta = _meta(config, seed)
     meta["rate_reference"] = scan.rate_reference
+    if model.is_invariant:  # trials drawn as tridiagonals, not dense matrices: a different stream layout
+        meta["stream_layout"] = "dumitriu_edelman"
     columns = ("model", "n", "p", "x", "method", "p_hat", "stderr", "slope", "ess", "seed")
     kind = config["model"].get("kind", "gaussian")
     rows = [
@@ -240,10 +255,13 @@ def cmd_calibrate(config: dict, seed: int, out, fmt: str) -> int:
         t0=config.get("t0", 2.0),
         normalize_variance=_boolean(config, "normalize_variance"),
     )
+    t_grid = _list(config, "t_grid")
+    if not all(map(_is_number, t_grid)):
+        raise ValueError(f"t_grid entries must be numbers, got {t_grid!r}")
     rows = tail_calibration_report(
         profile,
         n_samples=_integral(config, "n_samples", 200_000),
-        t_grid=config["t_grid"],
+        t_grid=t_grid,
         rng=stream(seed, 5),
         role=config.get("role", "offdiagonal"),
     )

@@ -6,17 +6,16 @@ trials at once, so the batching never changes results.  The pass branches
 only on the profile's ``is_invariant``:
 
 * an invariant profile (the GOE and the GUE) builds no matrix.  Its
-  ``draw_tridiagonals`` reduces each trial's normals to a tridiagonal
-  (a_i = M_ii, b_i = ||M[i, i+1:]||) with the law of M's spectrum, and
-  trace powers come from that (O(n p**2) per matrix).  Its mechanism is
-  "diag", so a plant replaces a_1 = M[0, 0];
+  ``draw_tridiagonals`` draws each trial's Dumitriu-Edelman tridiagonal,
+  2n - 1 draws (the dense pass takes n**2) with the law of the matrix's
+  spectrum, and trace powers come from that (O(n p**2) per matrix).  Its
+  mechanism is "diag", so a plant replaces a_1, a N(0, sigma2) value;
 * any other profile assembles the raw dense matrix and takes its trace
   power without a rescaled copy.  A plant writes its entry into a copy of
   the matrix's 2x2 corner: the planted trace power is a rank-2 update of
   the unplanted one (O(p n**2) per matrix, no second product).
 
-Both draw the same normals from the same streams, so the importance
-weights do not depend on the branch.  The estimators:
+The estimators:
 
 * naive       - plain exceedance frequency with a Wilson interval;
 * planted_is  - self-normalized importance sampling whose proposal plants
@@ -93,15 +92,16 @@ def _trial_values(model, n: int, p: int, n_trials: int, seed: int, plant=None):
     None.  With one, each batch's plant draws, from each trial's stream
     after its entries, an entry and its log density ratio (``logw``),
     placed at the position of model.mechanism(p).  An invariant profile's
-    trials are tridiagonals (a, b), planted at a_1 in place after their
-    unplanted values are taken.  Otherwise _plant_corners writes
-    the entries into a copy of the matrices' [:2, :2] corners; a planted matrix
-    differs from the unplanted one only there, so ``planted`` is the
-    unplanted value plus the rank-2 update of
-    matcore.trace_power_corner_updates (even p): no planted copy of the
-    matrix is made and no second product is taken.  A trace power past
-    the float range comes back non-finite, without a warning.  Each
-    batch's generators are used within that batch only (see _batches).
+    trials are Dumitriu-Edelman tridiagonals (a, b) of 2n - 1 draws,
+    planted at a_1 in place after their unplanted values are taken.
+    Otherwise _plant_corners writes the entries into a copy of the
+    matrices' [:2, :2] corners; a planted matrix differs from the
+    unplanted one only there, so ``planted`` is the unplanted value plus
+    the rank-2 update of matcore.trace_power_corner_updates (even p): no
+    planted copy of the matrix is made and no second product is taken.  A
+    trace power past the float range comes back non-finite, without a
+    warning.  Each batch's generators are used within that batch only (see
+    _batches).
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import trace_powers, tridiagonal_eigvals
+from .matcore import hermite_dofs, trace_powers, tridiagonal_eigvals
 from .rates import require_finite, require_positive
 from .rng import stream
 from .stats import DeviationEstimate, batch_mean_stderr, binomial_estimate, geweke_z
@@ -280,7 +280,7 @@ def draw_tridiagonal(beta: float, N: int, count: int, rng: np.random.Generator):
     if N < 2:
         raise ValueError("N must be >= 2")
     a = math.sqrt(2.0) * rng.standard_normal((count, N))
-    b = np.sqrt(rng.chisquare(beta * np.arange(N - 1, 0, -1.0), size=(count, N - 1)))
+    b = np.sqrt(rng.chisquare(hermite_dofs(beta, N), size=(count, N - 1)))
     return a, b
 
 

@@ -15,6 +15,7 @@ __all__ = [
     "eigvals",
     "eigh_diagnostic",
     "tridiagonal_eigvals",
+    "hermite_dofs",
     "trace_powers",
     "trace_power_corner_updates",
     "trace_power",
@@ -175,6 +176,11 @@ def tridiagonal_eigvals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         t[:, idx[1:], idx[:-1]] = flat_b[start:stop]  # eigvalsh reads the lower triangle
         lam[start:stop] = np.linalg.eigvalsh(t)
     return lam.reshape(a.shape)
+
+
+def hermite_dofs(beta: float, n: int) -> np.ndarray:
+    """chi2 degrees of freedom beta (n-1), ..., beta of the n x n Dumitriu-Edelman tridiagonal's b_i**2."""
+    return beta * np.arange(n - 1, 0, -1.0)
 
 
 def _band_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:

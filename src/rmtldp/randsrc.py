@@ -8,8 +8,8 @@ diagonals (count, n) and strict upper triangles (count, n(n-1)/2), and
 the proposal's ``plant(entries, rngs)`` maps the current raw entries to
 (planted entries, log density ratios), each of shape (count,); the
 estimators place them.  An invariant profile also has
-``draw_tridiagonals(n, rngs)``, a batch draw of the same normals reduced
-to a tridiagonal with the law of the matrix's spectrum.
+``draw_tridiagonals(n, rngs)``, a batch of Dumitriu-Edelman tridiagonals
+(2n - 1 draws each, not n**2) whose spectrum has the matrix's law.
 
 A batch consumes each generator exactly as a one-generator draw would,
 in the same per-stream order: the generator calls come first, one loop
@@ -44,6 +44,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy import integrate, special
 
+from .matcore import hermite_dofs
 from .rates import RateSpec, require_positive
 
 __all__ = [
@@ -315,39 +316,30 @@ class GaussianProfile:
         is orthogonally (unitarily) invariant."""
         return self.sigma2 * self.beta == 2
 
-    def _normals(self, n: int, rngs) -> np.ndarray:
-        """(len(rngs), n + beta * n(n-1)/2) standard normals, one row per
-        generator, drawn by one standard_normal call each."""
-        z = np.empty((len(rngs), n + self.beta * (n * (n - 1) // 2)))
-        for row, rng in zip(z, rngs):
-            rng.standard_normal(out=row)
-        return z
-
     def draw_entries(self, n: int, rngs):
         """Diagonals (count, n) and strict upper triangles (count,
-        n(n-1)/2) of raw matrices, one per generator, each from one block
-        of standard normals."""
+        n(n-1)/2) of raw matrices, one per generator, each from one
+        standard_normal call of n + beta * n(n-1)/2 normals."""
         m = n * (n - 1) // 2
-        z = self._normals(n, rngs)
+        z = np.empty((len(rngs), n + self.beta * m))
+        for row, rng in zip(z, rngs):
+            rng.standard_normal(out=row)
         if self.beta == 1:
             return z[:, :n] * math.sqrt(self.sigma2), z[:, n:]
         return z[:, :n] * math.sqrt(self.sigma2), (z[:, n : n + m] + 1j * z[:, n + m :]) / math.sqrt(2.0)
 
     def draw_tridiagonals(self, n: int, rngs):
-        """(a, b) of the raw matrices M that draw_entries draws from rngs,
-        each rng consumed exactly as draw_entries consumes it: a = diag M
-        (count, n) and b_i = ||M[i, i+1:]|| (count, n - 1), the norm of
-        row i's strict upper part.  (a, b) is not M's own
-        tridiagonalization, but for an invariant profile it has the law of
-        M's Householder tridiagonal (Dumitriu & Edelman, J. Math. Phys.
-        2002), so the spectrum keeps its law."""
-        m = n * (n - 1) // 2
-        z = self._normals(n, rngs)
-        re, im = z[:, n : n + m], z[:, n + m :]
-        squares = re * re if self.beta == 1 else (re * re + im * im) / 2.0
-        row_starts = np.r_[0, np.cumsum(np.arange(n - 1, 1, -1))]
-        b = np.sqrt(np.add.reduceat(squares, row_starts, axis=1))
-        return z[:, :n] * math.sqrt(self.sigma2), b
+        """Dumitriu-Edelman tridiagonals (a, b), one per generator, of 2n - 1
+        draws: a_i ~ N(0, sigma2) (count, n) by one standard_normal call, then
+        b_i = sqrt(chi2_{beta(n-i)} / beta) (count, n - 1) by one chisquare
+        call.  For an invariant profile the spectrum of (a, b) has the raw
+        matrix's law (Dumitriu & Edelman, J. Math. Phys. 2002)."""
+        dofs = hermite_dofs(self.beta, n)
+        a, b = np.empty((len(rngs), n)), np.empty((len(rngs), n - 1))
+        for ar, br, rng in zip(a, b, rngs):
+            rng.standard_normal(out=ar)
+            br[:] = rng.chisquare(dofs)
+        return a * math.sqrt(self.sigma2), np.sqrt(b / self.beta)
 
     def proposal(self, mech: str, shift: float):
         """(plant, weight_var): plant(entries, rngs) draws one normal z per

@@ -273,9 +273,11 @@ class TestDeviationsCommand:
         ({"x": True}, "x must be a number, got True"),
         ({"x": "3"}, "x must be a number, got '3'"),
         ({"x": 10 ** 400}, "int too large to convert to float"),
+        ({"n_grid": "16"}, "n_grid must be a JSON list, got '16'"),
     ], ids=["method", "offdiag_n1", "diag_n1", "p0", "x_nan", "is_odd_p", "is_x_at_center", "p_fractional",
             "trials_fractional", "n_grid_fractional", "beta_fractional", "beta_bool", "sigma2_nan",
-            "normalize_variance_string", "a_nan", "b_inf", "t0_inf", "x_bool", "x_string", "x_huge_integer"])
+            "normalize_variance_string", "a_nan", "b_inf", "t0_inf", "x_bool", "x_string", "x_huge_integer",
+            "n_grid_string"])
     def test_bad_input_exit_2(self, tmp_path, capsys, bad, message):
         code, _ = run_cli(tmp_path, "deviations", dict(self.CFG, **bad))
         assert code == 2
@@ -314,6 +316,33 @@ class TestDeviationsCommand:
         assert [(r[4], r[5] > 0) for r in rows] == [("naive", True), ("planted_is", True), ("planted_is", False)]
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "27fc60168a2633ed81ad59d56dc8c0ebb10a1cb8b20fcc82fe489e933d11622d")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_invariant_artifact_declares_stream_layout(self, tmp_path, fmt):
+        code, out = run_cli(tmp_path, "deviations", dict(self.CFG, n_grid=[4], trials=50), fmt=fmt)
+        assert code in (0, 4)
+        text = out.read_text()
+        if fmt == "json":
+            assert json.loads(text)["meta"]["stream_layout"] == "dumitriu_edelman"
+        else:
+            assert "# stream_layout=dumitriu_edelman\n" in text
+
+    # recorded before invariant trials drew the Dumitriu-Edelman law directly: the layout change
+    # leaves these artifacts' bytes, and their meta has no stream_layout
+    @pytest.mark.parametrize("model, seed, sha256", [
+        (TAIL_MODEL, 0, "1a00ec3805085b8bef100c3271f9e7056016bdf9b35c44903b33aebbef7157ce"),
+        (TAIL_MODEL, 7, "732a1c46efb608a63ddfec7d416972acd521e3fa4329fc2715e5729583b14175"),
+        ({"kind": "gaussian", "sigma2": 0.25, "beta": 2}, 0,
+         "4dbf4353414548bb146681ef786f10351ca152574329e67f5cd53f42de65d4fa"),
+        ({"kind": "gaussian", "sigma2": 0.25, "beta": 2}, 7,
+         "1eb79e13e671906c0d2f799681f01bc4f95cee9a05f6785621ff954da3c1ac20"),
+    ], ids=["tail-0", "tail-7", "gauss_0.25_2-0", "gauss_0.25_2-7"])
+    def test_dense_artifacts_keep_their_bytes(self, tmp_path, model, seed, sha256):
+        cfg = {"model": model, "n_grid": [4, 6], "p": 4, "x": 3.0, "trials": 300, "method": "auto"}
+        code, out = run_cli(tmp_path, "deviations", cfg, seed=seed, fmt="json")
+        assert code == 0
+        assert "stream_layout" not in json.loads(out.read_text())["meta"]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
     def test_gaussian_below_p3_has_no_reference(self, tmp_path):
         cfg = dict(self.CFG, model={"kind": "gaussian", "sigma2": 1.0, "beta": 1}, n_grid=[4, 6], p=2, x=1.5,
@@ -474,7 +503,11 @@ class TestCalibrateCommand:
         ({"a": True}, "a must be a finite positive number, got True"),
         ({"alpha": "1.0"}, "alpha must be a finite positive number, got '1.0'"),
         ({"t0": math.nan}, "t0 must be a finite positive number, got nan"),
-    ], ids=["normalize_variance_string", "t_negative", "t_zero", "t_nan", "t_inf", "a_bool", "alpha_string", "t0_nan"])
+        ({"t_grid": ["4"]}, "t_grid entries must be numbers, got ['4']"),
+        ({"t_grid": [True]}, "t_grid entries must be numbers, got [True]"),
+        ({"t_grid": 4.0}, "t_grid must be a JSON list, got 4.0"),
+    ], ids=["normalize_variance_string", "t_negative", "t_zero", "t_nan", "t_inf", "a_bool", "alpha_string", "t0_nan",
+            "t_string", "t_bool", "t_grid_scalar"])
     def test_bad_input_exit_2(self, tmp_path, capsys, bad, message):
         cfg = dict({"alpha": 1.0, "a": 1.0, "t_grid": [4.0], "n_samples": 1000}, **bad)
         code, out = run_cli(tmp_path, "calibrate", cfg)

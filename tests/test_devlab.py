@@ -45,7 +45,7 @@ class TestNaive:
 
     def test_batches_match_per_trial_assembly(self):
         # 300 trials cross the 256-trial batch boundary; trial k uses stream(seed, 1, k).
-        # The GUE is invariant, so each trial is the tridiagonal of its own draw_entries
+        # The GUE is invariant, so each trial is a Dumitriu-Edelman tridiagonal drawn alone
         est = estimate_tail_naive(GAUSS2, 8, 4, 2.3, 300, seed=9)
         hits = sum(_tridiagonal_trial(GAUSS2, 8, 4, stream(9, 1, k))[0] >= 2.3 for k in range(300))
         assert 0 < est.hits < 300
@@ -252,12 +252,11 @@ class TestCornerUpdatePass:
 
 
 def _tridiagonal_trial(prof, n, p, rng, plant=None):
-    """(value, planted value, logw) of one trial built from draw_entries:
-    a_i = M_ii and b_i = ||M[i, i+1:]||, the plant at a_1."""
-    diag, off = (part[0] for part in prof.draw_entries(n, [rng]))
-    upper = np.zeros((n, n), dtype=off.dtype)
-    upper[np.triu_indices(n, 1)] = off
-    a, b = diag.copy(), np.linalg.norm(upper[:-1], axis=1)
+    """(value, planted value, logw) of one trial drawn alone: n normals
+    a_i ~ N(0, sigma2), then b_i = sqrt(chi2_{beta(n-i)} / beta), then the
+    plant at a_1."""
+    a = math.sqrt(prof.sigma2) * rng.standard_normal(n)
+    b = np.sqrt(rng.chisquare(prof.beta * np.arange(n - 1, 0, -1.0)) / prof.beta)
 
     def value():
         return float(trace_powers((a, b), p)) / n ** (p / 2 + 1)
@@ -265,7 +264,7 @@ def _tridiagonal_trial(prof, n, p, rng, plant=None):
     base = value()
     if plant is None:
         return base, None, None
-    (a[0],), (logw,) = plant(diag[:1], [rng])
+    (a[0],), (logw,) = plant(a[:1], [rng])
     return base, value(), logw
 
 
@@ -273,15 +272,16 @@ GOE = GaussianProfile(sigma2=2.0, beta=1)
 
 
 class TestInvariantPass:
-    """Invariant profiles take trace powers of the tridiagonal of each
-    trial's normals; the draws and the weights stay those of the dense
-    pass, and every trace-power statistic keeps its law."""
+    """Invariant profiles take trace powers of a Dumitriu-Edelman
+    tridiagonal drawn for each trial (2n - 1 draws, not n**2); every
+    trace-power statistic keeps the dense pass's law, and the plant
+    replaces a_1, a N(0, sigma2) value, as it replaces M[0, 0] there."""
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     @pytest.mark.parametrize("prof", [GOE, GAUSS2], ids=["goe", "gue"])
     def test_mean_is_exact(self, prof, n):
-        # E tr_n X**4: 2 + 5/n + 5/n**2 (GOE), 2 + 1/n**2 (GUE); recorded mutation: b_i**2 without
-        # the 1/2 of the beta=2 entries' squared moduli fails this test at every n
+        # E tr_n X**4: 2 + 5/n + 5/n**2 (GOE), 2 + 1/n**2 (GUE); recorded mutation: chi2 degrees of
+        # freedom off by one, beta (n - i) + 1, fails this test at every n
         exact = 2 + 5 / n + 5 / n ** 2 if prof.beta == 1 else 2 + 1 / n ** 2
         values, _, _ = devlab._trial_values(prof, n, 4, 4000, 60 + n)
         assert abs(values.mean() - exact) <= 4.0 * values.std(ddof=1) / math.sqrt(values.size)
@@ -319,13 +319,14 @@ class TestInvariantPass:
         assert abs(tridiagonal.p_hat - dense.p_hat) <= 3.0 * math.hypot(tridiagonal.stderr, dense.stderr)
 
     def test_weights_match_recorded(self):
-        # recorded with the dense pass: the same streams give the same weights
+        # re-recorded when invariant trials moved to the Dumitriu-Edelman draw, whose plant normal
+        # follows 2n - 1 draws instead of n**2
         plant, _ = GAUSS2.proposal("diag", 1.5)
         _, _, logw = devlab._trial_values(GAUSS2, 8, 4, 300, 51, plant)
-        assert hashlib.sha256(logw.tobytes()).hexdigest()[:16] == "1e6955e6732e99ab"
+        assert hashlib.sha256(logw.tobytes()).hexdigest()[:16] == "fcfbdd3b364522f6"
         est = estimate_tail_planted_is(GAUSS2, 8, 4, 2.1, 2000, seed=53)
         assert (est.ess, est.weight_mean, est.weight_mean_se) == (
-            28.942661904805757, 0.9774600164975227, 0.8000084971192508)
+            57.32833911747215, 0.7200458230090659, 0.8000084971192508)
 
     def test_tail_profiles_are_not_invariant(self):
         assert GOE.is_invariant and GAUSS2.is_invariant
@@ -604,9 +605,10 @@ class TestGoldenBytes:
 
     DIGESTS = {
         "gauss_1_1": ("9d4c77adafff3612", "428f69117801d740", "7010fceb92832c68"),
-        # the GUE's estimates re-recorded when invariant profiles moved to the tridiagonal pass;
-        # DENSE_GUE keeps the dense pass's digests
-        "gauss_1_2": ("1b5490db121d4373", "2319c07f1137b5cd", "c28dc2dc22041514"),
+        # the GUE's estimates re-recorded when invariant profiles moved to the tridiagonal pass,
+        # and again when it drew the Dumitriu-Edelman law directly; DENSE_GUE keeps the dense
+        # pass's digests
+        "gauss_1_2": ("76dd7b5ca7eda0af", "d1fc6100dc8de2bc", "c28dc2dc22041514"),
         "gauss_0.25_1": ("79bebfba4b05a1ac", "adfbf57b0527b389", "606790c7e61cf0ac"),
         "gauss_0.25_2": ("c24546640cad75d6", "32805eb8d0d70a32", "54674b3b293f7783"),
         "tail_rademacher_b1_alpha0.5": ("e60543197276fb1d", "3a5537fe6df9fbcf", "a995d9c21db4593b"),
@@ -665,11 +667,12 @@ class TestGoldenBytes:
         tail = rate_slope_scan(_golden_profile("tail_rademacher_b1_alpha1"), 4, 3.0, [6, 8], 300, seed=14)
         rows = gauss.rows + tail.rows
         # the fields the old scan-row record carried; all three digests re-recorded when the
-        # GUE moved to the tridiagonal pass (the tail rows are unchanged)
+        # GUE moved to the tridiagonal pass, and again when it drew the Dumitriu-Edelman law
+        # directly (the tail rows are unchanged)
         projected = [(r.n, r.slope, r.p_hat, r.method, r.flagged, r.ess, r.stderr) for r in rows]
-        assert _digest(projected) == "c7665cdc1342729b"
-        assert _digest([dataclasses.asdict(r) for r in rows]) == "2f71c045a4331a12"
-        assert _digest(gauss.summary()) == "58f566bfaba9da2a"
+        assert _digest(projected) == "7b7ed3aec1293e3f"
+        assert _digest([dataclasses.asdict(r) for r in rows]) == "a37d5a56703bfdeb"
+        assert _digest(gauss.summary()) == "5f3503f0ffe878c6"
 
     def test_bounded_probe_rows(self):
         rows = bounded_entry_concentration_probe(9, 4, [0.5, 1.0], [0.1, 0.5], 300, seed=3)
