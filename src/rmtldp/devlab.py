@@ -2,14 +2,19 @@
 
 Two estimators over one trial pass: trial k draws from its own Philox
 stream rng.stream(seed, 1, k), and rng.streams keys each batch of 256
-trials at once, so the batching never changes results.  The pass branches
-only on the profile's ``is_invariant``:
+trials at once on the calling thread's pool of generators, so the batching
+never changes results and calls on different threads never share a
+generator.  The pass branches only on the profile's ``is_invariant``:
 
 * an invariant profile (the GOE and the GUE) builds no matrix.  Its
   ``draw_tridiagonals`` draws each trial's Dumitriu-Edelman tridiagonal,
   2n - 1 draws (the dense pass takes n**2) with the law of the matrix's
   spectrum, and trace powers come from that (O(n p**2) per matrix).  Its
-  mechanism is "diag", so a plant replaces a_1, a N(0, sigma2) value;
+  mechanism is "diag", so a plant replaces a_1, a N(0, sigma2) value.
+  That changes only the closed walks that step on vertex 1's loop, which
+  stay within its first p/2 vertices: the planted trace power is the
+  unplanted one plus the change of the leading min(n, p/2) block
+  (O(p**3) per matrix, whatever n);
 * any other profile assembles the raw dense matrix and takes its trace
   power without a rescaled copy.  A plant writes its entry into a copy of
   the matrix's 2x2 corner: the planted trace power is a rank-2 update of
@@ -79,10 +84,9 @@ def _normalized_trace_powers(mats, p: int) -> np.ndarray:
 
 def _batches(n_trials: int, *path: int):
     """(first trial index, one stream per trial) for each batch of up to _CHUNK trials; trial k
-    draws from stream(*path, k), on one pool re-keyed per batch: each is valid until the next."""
-    pool = []
+    draws from stream(*path, k), on the thread's pool re-keyed per batch: each is valid until the next."""
     for start in range(0, n_trials, _CHUNK):
-        yield start, streams(*path, start=start, stop=min(start + _CHUNK, n_trials), pool=pool)
+        yield start, streams(*path, start=start, stop=min(start + _CHUNK, n_trials))
 
 
 def _trial_values(model, n: int, p: int, n_trials: int, seed: int, plant=None):
@@ -93,7 +97,12 @@ def _trial_values(model, n: int, p: int, n_trials: int, seed: int, plant=None):
     after its entries, an entry and its log density ratio (``logw``),
     placed at the position of model.mechanism(p).  An invariant profile's
     trials are Dumitriu-Edelman tridiagonals (a, b) of 2n - 1 draws,
-    planted at a_1 in place after their unplanted values are taken.
+    planted at a_1.  tr T**p sums the weights of closed p-walks on the path
+    graph; a_1 weighs only the walks that step on the loop at vertex 1, and
+    with p - 1 other steps those stay within vertices 1..p/2.  So
+    ``planted`` is the unplanted value plus tr T'_B**p - tr T_B**p over the
+    leading k x k blocks B, k = min(n, p/2): two trace powers of k-vertex
+    tridiagonals, whatever n.
     Otherwise _plant_corners writes the entries into a copy of the
     matrices' [:2, :2] corners; a planted matrix differs from the
     unplanted one only there, so ``planted`` is the unplanted value plus
@@ -114,6 +123,7 @@ def _trial_values(model, n: int, p: int, n_trials: int, seed: int, plant=None):
         mech = model.mechanism(p)
         if model.is_invariant and mech != "diag":
             raise ValueError(f"an invariant profile plants at (1,1), got mechanism {mech!r}")
+        k = min(n, p // 2)  # a closed p-walk that steps on a_1 stays within vertices 1..p/2
     for start, rngs in _batches(n_trials, seed, 1):
         stop = start + len(rngs)
         with np.errstate(over="ignore", invalid="ignore"):  # the estimators raise on non-finite values
@@ -121,8 +131,11 @@ def _trial_values(model, n: int, p: int, n_trials: int, seed: int, plant=None):
                 a, b = model.draw_tridiagonals(n, rngs)
                 values[start:stop] = _normalized_trace_powers((a, b), p)
                 if plant is not None:
+                    head = a[:, :k], b[:, : k - 1]  # views: the plant writes a_1 through them
+                    before = trace_powers(head, p)
                     a[:, 0], logw[start:stop] = plant(a[:, 0], rngs)
-                    planted[start:stop] = _normalized_trace_powers((a, b), p)
+                    update = trace_powers(head, p) - before
+                    planted[start:stop] = values[start:stop] + update / n ** (p / 2 + 1)
             else:
                 mats = _dense_trial_matrix(model, n, rngs)
                 values[start:stop] = _normalized_trace_powers(mats, p)

@@ -12,10 +12,13 @@ estimators place them.  An invariant profile also has
 (2n - 1 draws each, not n**2) whose spectrum has the matrix's law.
 
 A batch consumes each generator exactly as a one-generator draw would,
-in the same per-stream order: the generator calls come first, one loop
+in the same per-stream order: the generator calls come first, in loops
 over the generators, and the arithmetic on the draws then runs once over
 the batch.  ``TwoPieceModulus.sample`` and ``TailProfile.sample_entries``
-are the one-generator case of the batch draw.  Two families:
+are the one-generator case of the batch draw.  Rademacher signs come from
+one float32 ``random`` call per generator, bit for bit the draws (and the
+generator state) of ``integers(0, 2, size)`` (see ``draw_role``).  Two
+families:
 
 * GaussianProfile - centered Gaussian entries, diagonal variance sigma2,
   off-diagonal second absolute moment 1 (real for beta=1, complex for
@@ -156,14 +159,18 @@ class TwoPieceModulus:
         tilted by exp(eta t**alpha) (eta = 0: the law itself).  Each
         generator makes the calls of a one-generator draw: random(size),
         then standard_exponential(k) for its k tail draws, then the core's
-        random(size - k) (eta = 0) or rejection loop (eta > 0).  The tail
-        power and the core's inverse CDF then run once over the batch."""
+        random(size - k) (eta = 0) or rejection loop (eta > 0).  One loop
+        draws every row's uniforms, one count gives every row's k, a second
+        loop draws the exponentials and cores; the tail power and the
+        core's inverse CDF then run once over the batch."""
         tail_mass = self._tilt(eta)[1] if eta else self.tail_mass
         u = np.empty((len(rngs), size))
-        w = np.empty_like(u)  # per row: its k exponentials, then its core's uniforms (or moduli)
-        for rng, ur, wr in zip(rngs, u, w):
+        for rng, ur in zip(rngs, u):
             rng.random(out=ur)
-            k = np.count_nonzero(ur < tail_mass)
+        is_tail = u < tail_mass
+        counts = np.count_nonzero(is_tail, axis=1)
+        w = np.empty_like(u)  # per row: its k exponentials, then its core's uniforms (or moduli)
+        for rng, wr, k in zip(rngs, w, counts.tolist()):
             if k:
                 rng.standard_exponential(out=wr[:k])
             if k < size and eta:
@@ -172,8 +179,7 @@ class TwoPieceModulus:
                 rng.random(out=wr[k:])
         # boolean indexing walks rows in order, so a row's tail draws land on its
         # positions with u < tail_mass, in order, and its core draws on the rest
-        is_tail = u < tail_mass
-        packed_tail = np.arange(size) < np.count_nonzero(is_tail, axis=1)[:, None]
+        packed_tail = np.arange(size) < counts[:, None]
         out = np.empty_like(w)
         out[is_tail] = (self._t0_alpha + w[packed_tail] / (self.c - eta)) ** (1.0 / self.alpha)
         core = w[~packed_tail]
@@ -452,16 +458,21 @@ class TailProfile:
     def draw_role(self, role: str, rngs, size: int) -> np.ndarray:
         """(len(rngs), size) entries of one role, one row per generator;
         each draws its moduli and then its phases apart, so
-        P(X/|X| in U, |X| >= t) = nu(U) P(|X| >= t) holds at every t."""
+        P(X/|X| in U, |X| >= t) = nu(U) P(|X| >= t) holds at every t.
+
+        A Rademacher sign is +1 where a float32 uniform is >= 0.5.  That
+        uniform is (u32 >> 8) 2**-24 of one 32-bit word, and integers(0, 2)
+        takes the bit u32 >> 31 of the same word (Lemire's method never
+        rejects on a range of 2), so the signs, and the generator's state
+        after them, are those of integers(0, 2, size): one cheaper call."""
         mod = self.modulus_law(role).draw(rngs, size)
-        phase_law = self.phase_diag if role == "diagonal" else self.phase_offdiag
-        if phase_law == "rademacher":
-            bits = np.array([rng.integers(0, 2, size=size) for rng in rngs]).reshape(len(rngs), size)
-            return mod * (bits * 2.0 - 1.0)
-        theta = np.empty((len(rngs), size))
-        for row, rng in zip(theta, rngs):
-            rng.random(out=row)
-        return mod * np.exp(1j * (theta * 2.0 * np.pi))
+        rademacher = (self.phase_diag if role == "diagonal" else self.phase_offdiag) == "rademacher"
+        u = np.empty((len(rngs), size), dtype=np.float32 if rademacher else np.float64)
+        for row, rng in zip(u, rngs):
+            rng.random(dtype=u.dtype, out=row)
+        if rademacher:
+            return mod * np.where(u >= 0.5, 1.0, -1.0)
+        return mod * np.exp(1j * (u * 2.0 * np.pi))
 
     def sample_entries(self, role: str, rng: np.random.Generator, size: int) -> np.ndarray:
         """size entries of one role from one generator: the one-row case of draw_role."""

@@ -3,10 +3,15 @@
 Every consumer of randomness gets its own Philox stream named by a master
 seed (any non-negative integer) and an integer path, so results never depend
 on batching or order.  ``stream`` builds one; ``streams`` re-keys a pool of
-generators to paths (seed, *prefix, k), each valid until the next re-key.
+generators to paths (seed, *prefix, k).  Each thread has its own pool, kept
+across calls (building a generator costs more than re-keying one), so a
+generator from ``streams`` is valid until the next ``streams`` call on its
+thread, and threads never share one.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -64,11 +69,23 @@ def stream_keys(seed: int, *prefix: int, start: int, stop: int) -> np.ndarray:
     return np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=-1)
 
 
-def streams(seed: int, *prefix: int, start: int, stop: int, pool: list) -> list:
+class _ThreadPool(threading.local):
+    """One list of generators per thread, kept across streams calls."""
+
+    def __init__(self):
+        self.gens = []
+
+
+_THREAD_POOL = _ThreadPool()
+
+
+def streams(seed: int, *prefix: int, start: int, stop: int) -> list:
     """Generators drawing stream(seed, *prefix, k), k in [start, stop): the
-    generators of ``pool`` (a list, grown as needed), re-keyed, so each draws
-    its stream only until the next call with the same pool."""
+    generators of this thread's pool (grown as needed, never rebuilt),
+    re-keyed, so each draws its stream only until the next streams call on
+    the same thread."""
     keys = stream_keys(seed, *prefix, start=start, stop=stop)
+    pool = _THREAD_POOL.gens
     pool.extend(np.random.Generator(np.random.Philox(key=0)) for _ in range(len(keys) - len(pool)))
     for gen, key in zip(pool, keys.tolist()):  # Python ints set a state faster than numpy scalars
         gen.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": _ZEROS, "key": key},

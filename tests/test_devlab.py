@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import math
 import re
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -191,9 +193,9 @@ class TestSinglePass:
     def test_auto_scan_draws_each_trial_once(self, monkeypatch):
         paths = []
 
-        def counting_streams(*prefix, start, stop, pool):
+        def counting_streams(*prefix, start, stop):
             paths.extend((*prefix, k) for k in range(start, stop))
-            return streams(*prefix, start=start, stop=stop, pool=pool)
+            return streams(*prefix, start=start, stop=stop)
 
         monkeypatch.setattr(devlab, "streams", counting_streams)
         scan = rate_slope_scan(GAUSS2, 4, 3.0, [8, 16], 300, seed=41)
@@ -286,6 +288,28 @@ class TestInvariantPass:
         values, _, _ = devlab._trial_values(prof, n, 4, 4000, 60 + n)
         assert abs(values.mean() - exact) <= 4.0 * values.std(ddof=1) / math.sqrt(values.size)
 
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_sixth_moment_is_exact(self, n):
+        # GUE E tr_n X**6 = 5 + 10/n**2 (Harer-Zagier: 5 planar pairings of a hexagon, 10 of genus 1);
+        # p = 6 takes the band path's second product
+        values, _, _ = devlab._trial_values(GAUSS2, n, 6, 4000, 70 + n)
+        assert abs(values.mean() - (5 + 10 / n ** 2)) <= 4.0 * values.std(ddof=1) / math.sqrt(values.size)
+
+    @pytest.mark.parametrize("p", [4, 6, 8])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 9])
+    @pytest.mark.parametrize("prof", [GOE, GAUSS2], ids=["goe", "gue"])
+    def test_block_update_equals_full_recomputation(self, prof, n, p):
+        # the planted value adds the change of the leading min(n, p/2) block; n <= p/2 covers the
+        # whole matrix.  Recorded mutation: a block of p/2 - 1 rows fails every case with n >= p/2
+        plant, _ = prof.proposal("diag", 2.5)
+        values, planted, logw = devlab._trial_values(prof, n, p, 40, 80, plant)
+        rngs = [stream(80, 1, k) for k in range(40)]
+        a, b = prof.draw_tridiagonals(n, rngs)
+        a[:, 0], ref_logw = plant(a[:, 0], rngs)
+        assert np.array_equal(logw, ref_logw)
+        np.testing.assert_allclose(planted, trace_powers((a, b), p) / n ** (p / 2 + 1), rtol=1e-12)
+        assert not np.array_equal(planted, values)
+
     @pytest.mark.parametrize("mech", ["diag", None])
     @pytest.mark.parametrize("prof", [GOE, GAUSS2], ids=["goe", "gue"])
     def test_values_match_per_trial_tridiagonals(self, prof, mech):
@@ -336,11 +360,11 @@ class TestInvariantPass:
 
 class TestBatchStreams:
     """Each batch's streams are keyed in one pass by rng.streams, which
-    re-keys one pool of generators: the draws equal per-trial rng.stream's,
-    and a generator is valid only until the next batch."""
+    re-keys the thread's pool of generators: the draws equal per-trial
+    rng.stream's, and a generator is valid only until the next batch."""
 
     @staticmethod
-    def _per_trial_streams(seed, *prefix, start, stop, pool):
+    def _per_trial_streams(seed, *prefix, start, stop):
         return [stream(seed, *prefix, k) for k in range(start, stop)]
 
     @pytest.mark.parametrize("prof", [GAUSS2, TailProfile.with_feasible_t0(1.0, 1.5, 1.0)], ids=["gue", "tail"])
@@ -357,6 +381,43 @@ class TestBatchStreams:
         batched = bounded_entry_concentration_probe(*args, seed=65)
         monkeypatch.setattr(devlab, "streams", self._per_trial_streams)
         assert batched == bounded_entry_concentration_probe(*args, seed=65)
+
+    def test_second_call_builds_no_generator(self, monkeypatch):
+        estimate_tail_naive(GAUSS2, 8, 4, 2.3, 300, seed=81)  # fills this thread's pool
+        built = []
+
+        def counting_philox(*args, **kwargs):
+            built.append(args)
+            return philox(*args, **kwargs)
+
+        philox = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        estimate_tail_naive(GAUSS2, 8, 4, 2.3, 300, seed=82)
+        assert built == []
+
+    def test_threads_give_the_sequential_estimates(self):
+        # more threads than cores, switching often; recorded mutation: one pool shared by all threads fails it
+        prof = TailProfile.with_feasible_t0(1.0, 1.5, 1.0)
+        seeds = (83, 84, 85, 86)
+        sequential = [estimate_tail_planted_is(prof, 6, 4, 4.0, 600, seed=s) for s in seeds]
+        start = threading.Barrier(len(seeds))
+        got = {}
+
+        def run(s):
+            start.wait()
+            got[s] = estimate_tail_planted_is(prof, 6, 4, 4.0, 600, seed=s)
+
+        threads = [threading.Thread(target=run, args=(s,)) for s in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [got.get(s) for s in seeds] == sequential
 
     def test_generator_is_valid_only_within_its_batch(self):
         batches = devlab._batches(300, 66, 1)

@@ -371,3 +371,36 @@ class TestBatchDraws:
         rows = law.sample_tilted(0.6, [stream(71, k) for k in range(20)], 7)
         ref = np.array([reference_modulus(law, stream(71, k), 7, 0.6) for k in range(20)])
         assert rows.tobytes() == ref.tobytes()
+
+
+def _state(rng):
+    return repr(rng.bit_generator.state)  # the arrays inside make == ambiguous
+
+
+class TestPhaseBits:
+    """A Rademacher sign is a float32 uniform >= 0.5: the top bit of the same
+    32-bit word integers(0, 2) takes, so the signs, and the state after
+    them, equal integers(0, 2, size)'s, odd sizes (Philox's buffered
+    half-word) included, between other draws.  Recorded mutation: a float64
+    uniform in TailProfile.draw_role fails every draw_role case."""
+
+    @pytest.mark.parametrize("size", [1, 5, 7, 16, 21, 120])
+    def test_float32_half_is_the_integer_bit(self, size):
+        ours, ref = stream(72, size), stream(72, size)
+        for _ in range(3):
+            u = np.empty(size, dtype=np.float32)
+            ours.random(dtype=np.float32, out=u)
+            assert np.array_equal(u >= 0.5, ref.integers(0, 2, size=size) == 1)
+            assert ours.random(3).tobytes() == ref.random(3).tobytes()
+            assert ours.standard_exponential(size).tobytes() == ref.standard_exponential(size).tobytes()
+        assert _state(ours) == _state(ref)
+
+    @pytest.mark.parametrize("size", [1, 5, 7, 16, 21, 120])
+    def test_draw_role_signs_equal_integers(self, size):
+        prof = TailProfile(alpha=1.0, a=1.0, b=1.0, t0=2.0, normalize_variance=False)
+        ours, ref = stream(73, size), stream(73, size)
+        for _ in range(3):
+            got = prof.sample_entries("diagonal", ours, size)
+            assert got.tobytes() == reference_entries(prof, "diagonal", ref, size).tobytes()
+            assert ours.standard_exponential(size).tobytes() == ref.standard_exponential(size).tobytes()
+        assert _state(ours) == _state(ref)

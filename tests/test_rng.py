@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rmtldp import rng as rng_module
 from rmtldp.rng import stream, stream_keys, streams
 
 BOUND = 2**32  # trial indices must be below it, so that each is one 32-bit word
@@ -44,9 +45,8 @@ class TestStreamKeys:
 
 class TestStreams:
     def test_pool_draws_equal_stream_across_batches(self):
-        pool = []
         for start, stop in ((0, 256), (256, 300)):
-            gens = streams(7, 1, start=start, stop=stop, pool=pool)
+            gens = streams(7, 1, start=start, stop=stop)
             assert len(gens) == stop - start
             for k, gen in zip(range(start, stop), gens):
                 ref = stream(7, 1, k)
@@ -54,4 +54,4 @@ class TestStreams:
                 assert np.array_equal(gen.integers(0, 2**32, size=3, dtype=np.uint32),
                                       ref.integers(0, 2**32, size=3, dtype=np.uint32))
                 assert np.array_equal(gen.standard_normal(5), ref.standard_normal(5))
-        assert len(pool) == 256
+        assert len(rng_module._THREAD_POOL.gens) == 256
