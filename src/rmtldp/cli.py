@@ -327,7 +327,7 @@ def _verify_checks(seed: int):
         from .randsrc import GaussianProfile
 
         meds = []
-        for n in (48, 96):
+        for n in (32, 256):
             reps = [
                 trace_linearization_discrepancy(n, 4, 1.0, 4, GaussianProfile(1.0, 1), rng)
                 for _ in range(7)

@@ -276,7 +276,7 @@ def rate_slope_scan(
     """
     if method not in ("auto", "naive", "planted_is"):
         raise ValueError(f"method must be auto, naive or planted_is, got {method!r}")
-    if not math.isfinite(x) or not isinstance(p, (int, np.integer)) or p < 1:
+    if not math.isfinite(x) or isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 1:
         raise ValueError(f"x must be finite and p an integer >= 1, got x={x}, p={p!r}")
     n_grid = list(n_grid)
     if any(isinstance(v, bool) or not isinstance(v, (int, float, np.integer)) or not float(v).is_integer()

@@ -70,6 +70,8 @@ class Potential:
             raise ValueError(f"remainder must be one of {_W_KINDS}, got {self.w_kind!r}")
         if self.w_coef < 0:
             raise ValueError(f"w_coef must be nonnegative, got {self.w_coef}")
+        if self.w_kind == "zero" and self.w_coef != 0:
+            raise ValueError(f"w_coef must be 0 for the zero remainder, got {self.w_coef}")
         if self.w_kind == "quadratic" and self.w_coef > 0 and not self.alpha > 2:
             raise ValueError("quadratic remainder requires alpha > 2")
 
@@ -175,7 +177,19 @@ class GasState:
 
     @classmethod
     def from_checkpoint(cls, obj: dict) -> tuple["GasState", Potential]:
+        """Inverse of checkpoint.  Raises ValueError naming a field that is
+        not a JSON number of its kind: lambdas must be a list of at least 2
+        finite numbers, N long; step finite and positive; the counters
+        non-negative integers (absent counters other than sweep_count are 0)."""
         potential = Potential.from_json(obj["potential"])
+        lambdas = obj["lambdas"]
+        if not isinstance(lambdas, list) or len(lambdas) < 2:
+            raise ValueError(f"lambdas must be a list of at least 2 numbers, got {lambdas!r}")
+        for value in lambdas:
+            require_finite(lambdas=value)
+        if _count(obj, "N") != len(lambdas):
+            raise ValueError(f"N={obj['N']} disagrees with the {len(lambdas)} lambdas")
+        require_positive(step=obj["step"])
         rs = obj["rng_state"]
         bg = np.random.Philox()
         bg.state = {
@@ -190,16 +204,24 @@ class GasState:
             "uinteger": rs["uinteger"],
         }
         state = cls(
-            lambdas=np.asarray(obj["lambdas"], dtype=float),
+            lambdas=np.asarray(lambdas, dtype=float),
             step=float(obj["step"]),
             rng=np.random.Generator(bg),
-            sweep_count=int(obj["sweep_count"]),
-            accept_count=int(obj.get("accept_count", 0)),
-            proposal_count=int(obj.get("proposal_count", 0)),
-            window_accept=int(obj.get("window_accept", 0)),
-            window_proposals=int(obj.get("window_proposals", 0)),
+            sweep_count=_count(obj, "sweep_count"),
+            accept_count=_count(obj, "accept_count", 0),
+            proposal_count=_count(obj, "proposal_count", 0),
+            window_accept=_count(obj, "window_accept", 0),
+            window_proposals=_count(obj, "window_proposals", 0),
         )
         return state, potential
+
+
+def _count(obj: dict, key: str, default=None) -> int:
+    """obj[key] (or default) as an int; only a non-negative integral JSON number is one."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer() or value < 0:
+        raise ValueError(f"{key} must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 def mcmc_sweep(state: GasState, potential: Potential) -> GasState:
@@ -351,9 +373,10 @@ def estimate_equilibrium_moment(
 
     When potential.is_beta_hermite the values come from iid exact
     Dumitriu-Edelman draws T on stream (seed, 13), the same draws
-    sample_beta_hermite makes there, as tr T**p / (N (4 N b)**(p/2)): for
-    even p without eigenvalues.  burn_in and thin are ignored, and the
-    standard error is the iid one, sample sd / sqrt(n_samples).
+    sample_beta_hermite makes there, as tr T**p / (N (4 N b)**(p/2)), with
+    no eigenvalues for any p (matcore.trace_powers).  burn_in and thin are
+    ignored, and the standard error is the iid one, sample sd /
+    sqrt(n_samples).
     Otherwise they are thinned samples of one tuned Metropolis chain
     (burn_in sweeps, then one sample every thin sweeps, thin defaulting to
     N) with batch-mean standard error.  On both paths a Geweke score beyond

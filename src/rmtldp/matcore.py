@@ -4,6 +4,8 @@ A HermMatrix is immutable: the public constructor validates, reads only the
 upper triangle, mirrors it with conjugates and freezes the dense array, so
 symmetry is exact and the spectrum can be cached.  Derived matrices (scaled,
 with_entry, +, ``wigner``) skip the mirror: same bits, finiteness checked.
+``trace_powers`` is one path for every p, dense or tridiagonal, with no
+eigenvalues: one repeated-squaring routine and a Frobenius pairing.
 """
 
 from __future__ import annotations
@@ -196,21 +198,30 @@ def _band_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _power(base: np.ndarray, h: int, product) -> np.ndarray:
+    """base**h for h >= 1 by repeated squaring: product runs over the set bits
+    of h, lowest first, multiplying the running power by base**(2**j)."""
+    acc = None
+    while h:
+        if h & 1:
+            acc = base if acc is None else product(acc, base)
+        h >>= 1
+        if h:
+            base = product(base, base)
+    return acc
+
+
 def _tridiagonal_trace_powers(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    if p % 2:
-        return np.sum(tridiagonal_eigvals(a, b) ** p, axis=-1)
+    if p == 1:
+        return np.sum(a, axis=-1)
     band = np.zeros(a.shape[:-1] + (3, a.shape[-1]))
     band[..., 0, 1:] = b
     band[..., 1, :] = a
     band[..., 2, :-1] = b
-    half, base, acc = p // 2, band, None
-    while half:
-        if half & 1:
-            acc = base if acc is None else _band_product(acc, base)
-        half >>= 1
-        if half:
-            base = _band_product(base, base)
-    return np.einsum("...ij,...ij->...", acc, acc)
+    half = _power(band, p // 2, _band_product)
+    # odd p: M**(h+1)'s two outer diagonals meet zeros of M**h's band
+    other = _band_product(half, band)[..., 1:-1, :] if p % 2 else half
+    return np.einsum("...ij,...ij->...", half, other)
 
 
 def trace_powers(mats, p: int) -> np.ndarray:
@@ -218,29 +229,24 @@ def trace_powers(mats, p: int) -> np.ndarray:
     real symmetric tridiagonal matrix in a stack given as a pair (a, b) of
     diagonals (..., n) and off-diagonals (..., n - 1).
 
-    Even p: ||M**(p/2)||_F**2 by repeated squaring, of a dense stack by a
-    batched matmul (which beats eigh), of a tridiagonal one in band storage
-    (O(n p**2) per matrix; p = 2 gives sum a**2 + 2 sum b**2, and p = 4
-    sum a**4 + 4 sum b_i**2 (a_i**2 + a_i a_(i+1) + a_(i+1)**2)
-    + 2 sum b**4 + 4 sum b_i**2 b_(i+1)**2).  Odd p: the sum of eigenvalue
-    powers.  The input is never written.
+    One algorithm for every p, with no eigenvalues: M**h, h = p // 2, by
+    repeated squaring, a batched matmul for a dense stack (which beats eigh)
+    and band storage for a tridiagonal one (O(n p**2) per matrix).  Even p
+    is ||M**h||_F**2, odd p the Frobenius pairing <M**h, M**(h+1)>, one more
+    product, and p = 1 the trace.  The input is never written.
     """
-    if not isinstance(p, (int, np.integer)) or p < 1:
+    if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 1:
         raise ValueError(f"p must be a positive integer, got {p!r}")
     if isinstance(mats, tuple):
         return _tridiagonal_trace_powers(*mats, p)
+    if p == 1:
+        return np.trace(mats, axis1=-2, axis2=-1).real
+    half = _power(mats, p // 2, np.matmul)
     if p % 2:
-        return np.sum(np.linalg.eigvalsh(mats) ** p, axis=-1)
-    half, base, acc = p // 2, mats, None
-    while half:
-        if half & 1:
-            acc = base if acc is None else acc @ base
-        half >>= 1
-        if half:
-            base = base @ base
-    if acc is mats or np.iscomplexobj(acc):
-        acc = np.abs(acc)  # a real product is squared in place, never the input
-    return np.sum(np.square(acc, out=acc), axis=(-2, -1))
+        return np.einsum("...ij,...ij->...", half, np.conj(half @ mats)).real
+    if half is mats or np.iscomplexobj(half):
+        half = np.abs(half)  # a real product is squared in place, never the input
+    return np.sum(np.square(half, out=half), axis=(-2, -1))
 
 
 def trace_power_corner_updates(mats: np.ndarray, corners: np.ndarray, p: int) -> np.ndarray:

@@ -14,11 +14,10 @@ estimators place them.  An invariant profile also has
 A batch consumes each generator exactly as a one-generator draw would,
 in the same per-stream order: the generator calls come first, in loops
 over the generators, and the arithmetic on the draws then runs once over
-the batch.  ``TwoPieceModulus.sample`` and ``TailProfile.sample_entries``
-are the one-generator case of the batch draw.  Rademacher signs come from
-one float32 ``random`` call per generator, bit for bit the draws (and the
-generator state) of ``integers(0, 2, size)`` (see ``draw_role``).  Two
-families:
+the batch; a one-generator draw is row 0 of the batch draw of ``[rng]``.
+Rademacher signs come from one float32 ``random`` call per generator, bit
+for bit the draws (and the generator state) of ``integers(0, 2, size)``
+(see ``draw_role``).  Two families:
 
 * GaussianProfile - centered Gaussian entries, diagonal variance sigma2,
   off-diagonal second absolute moment 1 (real for beta=1, complex for
@@ -108,18 +107,20 @@ class TwoPieceModulus:
         x0 = c * t0 ** alpha
         return c ** (-2.0 / alpha) * special.gamma(shape) * special.gammaincc(shape, x0)
 
-    def _core_second_moment(self, s: float) -> float:
-        rho = self.t0 / s
+    @staticmethod
+    def _core_second_moment(t0: float, s: float) -> float:
+        """Second moment of a half-Gaussian of scale s truncated to [0, t0]."""
+        rho = t0 / s
         if rho < 0.05:
             u = rho * rho
-            return self.t0 ** 2 * (1.0 / 3.0 - 2.0 * u / 45.0)
+            return t0 ** 2 * (1.0 / 3.0 - 2.0 * u / 45.0)
         z = _norm_cdf(rho) - 0.5
         if z <= 0.0 or rho > 38.0:
             return s * s
         return s * s * (1.0 - rho * _norm_pdf(rho) / z)
 
     def second_moment(self) -> float:
-        return self.core_mass * self._core_second_moment(self.s) + self.tail_second_moment(
+        return self.core_mass * self._core_second_moment(self.t0, self.s) + self.tail_second_moment(
             self.c, self.alpha, self.t0
         )
 
@@ -191,15 +192,11 @@ class TwoPieceModulus:
         core; acceptance exp(eta(t^a - t0^a)) <= 1."""
         got = np.empty(0)
         while got.size < j:
-            cand = self.sample(rng, max(j, 64))
+            cand = self.draw([rng], max(j, 64))[0]
             cand = cand[cand <= self.t0]
             acc = rng.random(cand.size) < np.exp(eta * (cand ** self.alpha - self._t0_alpha))
             got = np.concatenate([got, cand[acc]])
         return got[:j]
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """size draws from one generator: the one-row case of draw."""
-        return self.draw([rng], size)[0]
 
     # ---- exponential-type tilt (importance-sampling support) ----------
 
@@ -246,7 +243,7 @@ def _solve_core_scale(c: float, alpha: float, t0: float) -> float:
         )
 
     def f(s):
-        return TwoPieceModulus(c, alpha, t0, s)._core_second_moment(s) - target
+        return TwoPieceModulus._core_second_moment(t0, s) - target
 
     lo, hi = 1e-9 * t0, 1e6 * t0
     for _ in range(200):
@@ -407,16 +404,14 @@ class TailProfile:
         if self.phase_offdiag not in _PHASE_LAWS:
             raise ValueError(f"unknown phase law {self.phase_offdiag!r}")
         # build the modulus laws once; may raise CalibrationError
+        s_off = _solve_core_scale(self.a, self.alpha, self.t0) if self.normalize_variance else self.t0 / 2.0
+        law = TwoPieceModulus(self.a, self.alpha, self.t0, s_off)
         if self.normalize_variance:
-            s_off = _solve_core_scale(self.a, self.alpha, self.t0)
-            law = TwoPieceModulus(self.a, self.alpha, self.t0, s_off)
             m2, _ = integrate.quad(lambda t: t * t * float(law.pdf(t)), 0.0, self.t0, limit=200)
             m2 += TwoPieceModulus.tail_second_moment(self.a, self.alpha, self.t0)
             if abs(m2 - 1.0) > 1e-6:
                 raise CalibrationError(f"variance calibration off by {m2 - 1.0:.2e}")
-        else:
-            s_off = self.t0 / 2.0
-        object.__setattr__(self, "_offdiag_law", TwoPieceModulus(self.a, self.alpha, self.t0, s_off))
+        object.__setattr__(self, "_offdiag_law", law)
         object.__setattr__(self, "_diag_law", TwoPieceModulus(self.b, self.alpha, self.t0, self.t0 / 2.0))
 
     # a heavy-tailed law is never orthogonally invariant
@@ -473,10 +468,6 @@ class TailProfile:
         if rademacher:
             return mod * np.where(u >= 0.5, 1.0, -1.0)
         return mod * np.exp(1j * (u * 2.0 * np.pi))
-
-    def sample_entries(self, role: str, rng: np.random.Generator, size: int) -> np.ndarray:
-        """size entries of one role from one generator: the one-row case of draw_role."""
-        return self.draw_role(role, [rng], size)[0]
 
     def draw_entries(self, n: int, rngs):
         """Diagonals (count, n) and strict upper triangles (count,
@@ -564,7 +555,7 @@ def tail_calibration_report(
         if not (math.isfinite(t) and t > 0):
             raise ValueError(f"thresholds must be finite and positive, got t={t}")
     law = profile.modulus_law(role)
-    mods = law.sample(rng, int(n_samples))
+    mods = law.draw([rng], int(n_samples))[0]
     rows = []
     for t in t_grid:
         hits = int(np.count_nonzero(mods > t))

@@ -17,7 +17,6 @@ __all__ = [
     "assemble_wigner",
     "TruncationSplit",
     "truncation_split",
-    "count_nonzero",
     "spike_size",
     "PlantSpec",
     "plant_deformation",
@@ -133,11 +132,6 @@ def truncation_split(
     scaled = raw.matrix * (1.0 / math.sqrt(n))
     parts = [HermMatrix._trusted(raw.beta, np.where(m, scaled, 0.0)) for m in (m_small, m_mid, m_dev, m_huge)]
     return TruncationSplit(*parts, eps=float(eps), d=float(d), p=int(p))
-
-
-def count_nonzero(C: HermMatrix) -> int:
-    """Number of ordered pairs (i, j), both triangles, with a nonzero entry."""
-    return int(np.count_nonzero(C.matrix))
 
 
 def spike_size(n: int, delta: float, p: int, diagonal: bool) -> float:

@@ -445,11 +445,39 @@ class TestSampleCommand:
         ({"beta": math.nan}, "beta must be a finite positive number, got nan"),
         ({"w_kind": "abs", "w_coef": math.nan}, "w_coef must be a finite number, got nan"),
         ({"w_kind": "abs", "w_coef": -0.5}, "w_coef must be nonnegative, got -0.5"),
-    ], ids=["b_nan", "b_bool", "alpha_inf", "beta_nan", "w_coef_nan", "w_coef_negative"])
+        ({"w_coef": 3.0}, "w_coef must be 0 for the zero remainder, got 3.0"),
+    ], ids=["b_nan", "b_bool", "alpha_inf", "beta_nan", "w_coef_nan", "w_coef_negative", "w_coef_zero_kind"])
     def test_bad_potential_exit_2(self, tmp_path, capsys, potential, message):
         cfg = {"what": "loggas", "potential": dict({"b": 0.25, "alpha": 2.0, "beta": 1.0}, **potential), "N": 4,
                "sweeps": 3}
         code, _ = run_cli(tmp_path, "sample", cfg, fmt="json")
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"lambdas": ["0.1", "0.2", "0.3"], "N": 3}, "lambdas must be a finite number, got '0.1'"),
+        ({"lambdas": [0.1, math.nan], "N": 2}, "lambdas must be a finite number, got nan"),
+        ({"lambdas": [0.5], "N": 1}, "lambdas must be a list of at least 2 numbers, got [0.5]"),
+        ({"N": 9}, "N=9 disagrees with the 8 lambdas"),
+        ({"step": math.nan}, "step must be a finite positive number, got nan"),
+        ({"step": "0.3"}, "step must be a finite positive number, got '0.3'"),
+        ({"step": True}, "step must be a finite positive number, got True"),
+        ({"step": 0.0}, "step must be a finite positive number, got 0.0"),
+        ({"sweep_count": 1.5}, "sweep_count must be a non-negative integer, got 1.5"),
+        ({"accept_count": -1}, "accept_count must be a non-negative integer, got -1"),
+        ({"proposal_count": "40"}, "proposal_count must be a non-negative integer, got '40'"),
+        ({"window_accept": True}, "window_accept must be a non-negative integer, got True"),
+        ({"window_proposals": math.inf}, "window_proposals must be a non-negative integer, got inf"),
+    ], ids=["lambdas_strings", "lambdas_nan", "lambdas_one_particle", "N_disagrees", "step_nan", "step_string",
+            "step_bool", "step_zero", "sweep_count_fractional", "accept_count_negative", "proposal_count_string",
+            "window_accept_bool", "window_proposals_inf"])
+    def test_bad_checkpoint_field_exit_2(self, tmp_path, capsys, bad, message):
+        cfg = {"what": "loggas", "potential": {"b": 0.25, "alpha": 2.0, "beta": 1.0}, "N": 8, "sweeps": 5}
+        _, first = run_cli(tmp_path, "sample", cfg, fmt="json", name="first")
+        ck = dict(json.loads(first.read_text())["checkpoint"], **bad)
+        capsys.readouterr()
+        code, _ = run_cli(tmp_path, "sample", {"what": "loggas", "sweeps": 5, "checkpoint": ck}, fmt="json",
+                          name="bad")
         assert code == 2
         assert message in capsys.readouterr().err
 

@@ -162,6 +162,7 @@ class TestInputEdges:
         ({"p": 4.0}, "x must be finite and p an integer >= 1"),
         ({"p": 3, "method": "planted_is"}, "planted_is is impossible here: p=3 is odd"),
         ({"x": 2.0, "method": "planted_is"}, "planted_is is impossible here: x=2.0 is not above the center"),
+        ({"p": True}, "x must be finite and p an integer >= 1"),
     ])
     def test_scan_rejects_bad_input(self, bad, message):
         args = dict(dict(p=4, x=3.0, n_grid=[8], trials_per_n=10), **bad)

@@ -241,7 +241,7 @@ class TestTracePowers:
         assert float(trace_powers(mat, 4)) == pytest.approx(float(np.sum(sq * sq)), rel=1e-12)
 
     def test_p_validation(self):
-        for p in (0, -2, 2.0):
+        for p in (0, -2, 2.0, True):
             with pytest.raises(ValueError, match="positive integer"):
                 trace_powers(np.eye(3), p)
 
@@ -339,6 +339,20 @@ class TestTridiagonalTracePowers:
         four = (np.sum(a ** 4, -1) + 4 * np.sum(b2 * (a[:, :-1] ** 2 + a[:, :-1] * a[:, 1:] + a[:, 1:] ** 2), -1)
                 + 2 * np.sum(b2 * b2, -1) + 4 * np.sum(b2[:, :-1] * b2[:, 1:], -1))
         assert np.allclose(trace_powers((a, b), 4), four, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 70])
+    @pytest.mark.parametrize("p", [1, 3, 5, 7])
+    def test_odd_p_matches_eigenvalue_power_sums(self, p, n):
+        # odd p pairs M**h with M**(h+1); the oracle is the spectrum
+        a, b = _random_tridiagonal(n, 6, stream(117, n, p))
+        lam = np.linalg.eigvalsh(_dense_tridiagonal(a, b))
+        scale = np.sum(np.abs(lam) ** p, axis=-1)  # odd p may cancel
+        assert np.all(np.abs(trace_powers((a, b), p) - np.sum(lam ** p, axis=-1)) <= 1e-12 * scale)
+
+    def test_odd_power_far_past_the_size(self):
+        a, b = np.array([[0.5, -1.0, 0.25]]), np.array([[0.75, -0.5]])
+        lam = np.linalg.eigvalsh(_dense_tridiagonal(a, b))
+        assert trace_powers((a, b), 41) == pytest.approx(np.sum(lam ** 41, -1), rel=1e-12)
 
     def test_power_far_past_the_size(self):
         # the band outgrows the matrix at p = 40, n = 3

@@ -69,14 +69,14 @@ class TestTailLaw:
 
     def test_empirical_tail_frequency(self):
         prof = TailProfile(alpha=1.0, a=1.0, b=1.0, t0=2.0, normalize_variance=False)
-        x = prof.sample_entries("diagonal", stream(11, 0), 10 ** 6)
+        x = prof.draw_role("diagonal", [stream(11, 0)], 10 ** 6)[0]
         p = math.exp(-3.0)
         freq = float(np.mean(np.abs(x) > 3.0))
         assert abs(freq - p) <= 3.0 * se_of_proportion(p, 10 ** 6)
 
     def test_phase_symmetry_centers_entries(self):
         prof = TailProfile(alpha=1.0, a=1.0, b=1.0, t0=2.0, normalize_variance=False)
-        x = prof.sample_entries("offdiagonal", stream(11, 1), 10 ** 6)
+        x = prof.draw_role("offdiagonal", [stream(11, 1)], 10 ** 6)[0]
         sd = float(np.std(x))
         assert abs(float(np.mean(x))) <= 3.0 * sd / 1000.0
 
@@ -86,7 +86,7 @@ class TestTailLaw:
         m2_quad, _ = integrate.quad(lambda t: t * t * float(law.pdf(np.array([t]))[0]), 0, law.t0)
         m2_quad += TwoPieceModulus.tail_second_moment(1.0, 1.0, 3.0)
         assert m2_quad == pytest.approx(1.0, abs=1e-6)
-        x = prof.sample_entries("offdiagonal", stream(11, 2), 10 ** 6)
+        x = prof.draw_role("offdiagonal", [stream(11, 2)], 10 ** 6)[0]
         assert float(np.mean(np.abs(x) ** 2)) == pytest.approx(1.0, abs=0.01)
 
     def test_infeasible_normalization_names_minimal_t0(self):
@@ -98,6 +98,16 @@ class TestTailLaw:
         named = float(msg.rsplit(" ", 1)[-1])
         assert named == pytest.approx(2.674, abs=0.01)
 
+    @pytest.mark.parametrize("alpha, t0, t0_hex, scale_hex", [
+        (1.0, 3.0, "0x1.8000000000000p+1", "0x1.9bbb083ebd0b9p-2"),
+        (1.0, None, "0x1.7881f81d3d97cp+1", "0x1.772853325729dp-2"),
+        (1.5, None, "0x1.0b194f8fa12a6p+0", "0x1.21192375e11a8p-2"),
+    ])
+    def test_calibration_matches_recorded_bits(self, alpha, t0, t0_hex, scale_hex):
+        # recorded before the core moment became a static function of (t0, s)
+        prof = TailProfile(alpha, 1.0, 1.0, t0=t0) if t0 else TailProfile.with_feasible_t0(alpha, 1.0, 1.0)
+        assert (prof.t0.hex(), prof.modulus_law("offdiagonal").s.hex()) == (t0_hex, scale_hex)
+
     def test_with_feasible_t0(self):
         prof = TailProfile.with_feasible_t0(alpha=0.5, a=1.0, b=1.0)
         law = prof.modulus_law("offdiagonal")
@@ -105,7 +115,7 @@ class TestTailLaw:
 
     def test_modulus_phase_independence(self):
         prof = TailProfile(alpha=1.0, a=1.0, b=1.0, t0=2.0, normalize_variance=False)
-        x = prof.sample_entries("offdiagonal", stream(11, 3), 10 ** 6)
+        x = prof.draw_role("offdiagonal", [stream(11, 3)], 10 ** 6)[0]
         mod = np.abs(x)
         pos = (np.sign(x) > 0).astype(float)
         corr = np.corrcoef(mod, pos)[0, 1]
@@ -113,8 +123,8 @@ class TestTailLaw:
 
     def test_reproducible_from_seed_and_stream(self):
         prof = TailProfile(alpha=1.0, a=1.0, b=1.0, t0=2.0, normalize_variance=False)
-        a = prof.sample_entries("offdiagonal", stream(42, 9), 1000)
-        b = prof.sample_entries("offdiagonal", stream(42, 9), 1000)
+        a = prof.draw_role("offdiagonal", [stream(42, 9)], 1000)[0]
+        b = prof.draw_role("offdiagonal", [stream(42, 9)], 1000)[0]
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("phase, role, digest", [
@@ -123,21 +133,21 @@ class TestTailLaw:
         ("uniform_s1", "offdiagonal", "80af4d8a3c8cc729"),
     ])
     def test_sample_entries_matches_recorded_draws(self, phase, role, digest):
-        # recorded from the per-entry sampler that sample_entries replaced
+        # recorded from the per-entry sampler that the batch draw replaced
         prof = TailProfile(alpha=1.0, a=1.0, b=1.0, t0=2.0, phase_offdiag=phase, normalize_variance=False)
-        x = prof.sample_entries(role, stream(11, 5), 1000)
+        x = prof.draw_role(role, [stream(11, 5)], 1000)[0]
         assert hashlib.sha256(x.tobytes()).hexdigest()[:16] == digest
 
     @pytest.mark.parametrize("role, digest", [("offdiagonal", "af805e803955c6be"), ("diagonal", "f1fb836c11bd34d2")])
     def test_modulus_sample_matches_recorded_draws(self, role, digest):
         prof = TailProfile(alpha=0.5, a=1.0, b=2.0, t0=2.0, normalize_variance=False)
-        x = prof.modulus_law(role).sample(stream(11, 6), 1000)
+        x = prof.modulus_law(role).draw([stream(11, 6)], 1000)[0]
         assert hashlib.sha256(x.tobytes()).hexdigest()[:16] == digest
 
     def test_complex_phase_law(self):
         prof = TailProfile(alpha=1.0, a=1.0, b=1.0, t0=2.0,
                            phase_offdiag="uniform_s1", normalize_variance=False)
-        x = prof.sample_entries("offdiagonal", stream(11, 4), 20000)
+        x = prof.draw_role("offdiagonal", [stream(11, 4)], 20000)[0]
         assert np.iscomplexobj(x)
         assert prof.beta == 2
         # phase uniform on the circle: mean near 0 in both components
@@ -400,7 +410,7 @@ class TestPhaseBits:
         prof = TailProfile(alpha=1.0, a=1.0, b=1.0, t0=2.0, normalize_variance=False)
         ours, ref = stream(73, size), stream(73, size)
         for _ in range(3):
-            got = prof.sample_entries("diagonal", ours, size)
+            got = prof.draw_role("diagonal", [ours], size)[0]
             assert got.tobytes() == reference_entries(prof, "diagonal", ref, size).tobytes()
             assert ours.standard_exponential(size).tobytes() == ref.standard_exponential(size).tobytes()
         assert _state(ours) == _state(ref)
