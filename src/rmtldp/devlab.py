@@ -51,7 +51,7 @@ claim at desk scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy import special
@@ -245,13 +245,8 @@ class ScanResult:
     monotone_decreasing: bool | None
 
     def summary(self) -> dict:
-        return {
-            "p": self.p,
-            "x": self.x,
-            "rate_reference": self.rate_reference,
-            "last_slope": self.last_slope,
-            "monotone_decreasing": self.monotone_decreasing,
-        }
+        """Every field but the rows."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "rows"}
 
 
 def rate_slope_scan(

@@ -16,13 +16,13 @@ coordinate, O(N^2) per sweep).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .matcore import hermite_dofs, trace_powers, tridiagonal_eigvals
 from .rates import require_finite, require_positive
-from .rng import stream
+from .rng import generator_from_json, state_json, stream
 from .stats import DeviationEstimate, batch_mean_stderr, binomial_estimate, geweke_z
 
 __all__ = [
@@ -47,6 +47,8 @@ __all__ = [
 _W_KINDS = ("zero", "abs", "quadratic")
 _TARGET_ACCEPTANCE = 0.4
 _TUNE_INTERVAL = 100
+# GasState's counters as a checkpoint saves them, each with its default when absent (None: required)
+_COUNTERS = {"sweep_count": None, "accept_count": 0, "proposal_count": 0, "window_accept": 0, "window_proposals": 0}
 
 
 @dataclass(frozen=True)
@@ -94,8 +96,7 @@ class Potential:
         return self.alpha == 2 and self.w_coef == 0
 
     def to_json(self) -> dict:
-        return {"b": self.b, "alpha": self.alpha, "beta": self.beta,
-                "w_kind": self.w_kind, "w_coef": self.w_coef}
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "Potential":
@@ -152,35 +153,21 @@ class GasState:
         return self.accept_count / self.proposal_count if self.proposal_count else 0.0
 
     def checkpoint(self, potential: Potential) -> dict:
-        st = self.rng.bit_generator.state
-        rng_state = {
-            "bit_generator": st["bit_generator"],
-            "counter": [int(v) for v in st["state"]["counter"]],
-            "key": [int(v) for v in st["state"]["key"]],
-            "buffer": [int(v) for v in st["buffer"]],
-            "buffer_pos": int(st["buffer_pos"]),
-            "has_uint32": int(st["has_uint32"]),
-            "uinteger": int(st["uinteger"]),
-        }
         return {
             "potential": potential.to_json(),
             "N": int(self.lambdas.size),
             "lambdas": [float(v) for v in self.lambdas],
             "step": self.step,
-            "sweep_count": self.sweep_count,
-            "accept_count": self.accept_count,
-            "proposal_count": self.proposal_count,
-            "window_accept": self.window_accept,
-            "window_proposals": self.window_proposals,
-            "rng_state": rng_state,
+            **{name: getattr(self, name) for name in _COUNTERS},
+            "rng_state": state_json(self.rng),
         }
 
     @classmethod
     def from_checkpoint(cls, obj: dict) -> tuple["GasState", Potential]:
         """Inverse of checkpoint.  Raises ValueError naming a field that is
-        not a JSON number of its kind: lambdas must be a list of at least 2
-        finite numbers, N long; step finite and positive; the counters
-        non-negative integers (absent counters other than sweep_count are 0)."""
+        not a JSON number of its kind: lambdas a list of at least 2 finite
+        numbers, N long; step finite and positive; _COUNTERS non-negative
+        integers; rng_state as rng.generator_from_json checks it."""
         potential = Potential.from_json(obj["potential"])
         lambdas = obj["lambdas"]
         if not isinstance(lambdas, list) or len(lambdas) < 2:
@@ -190,28 +177,11 @@ class GasState:
         if _count(obj, "N") != len(lambdas):
             raise ValueError(f"N={obj['N']} disagrees with the {len(lambdas)} lambdas")
         require_positive(step=obj["step"])
-        rs = obj["rng_state"]
-        bg = np.random.Philox()
-        bg.state = {
-            "bit_generator": rs["bit_generator"],
-            "state": {
-                "counter": np.array(rs["counter"], dtype=np.uint64),
-                "key": np.array(rs["key"], dtype=np.uint64),
-            },
-            "buffer": np.array(rs["buffer"], dtype=np.uint64),
-            "buffer_pos": rs["buffer_pos"],
-            "has_uint32": rs["has_uint32"],
-            "uinteger": rs["uinteger"],
-        }
         state = cls(
             lambdas=np.asarray(lambdas, dtype=float),
             step=float(obj["step"]),
-            rng=np.random.Generator(bg),
-            sweep_count=_count(obj, "sweep_count"),
-            accept_count=_count(obj, "accept_count", 0),
-            proposal_count=_count(obj, "proposal_count", 0),
-            window_accept=_count(obj, "window_accept", 0),
-            window_proposals=_count(obj, "window_proposals", 0),
+            rng=generator_from_json(obj["rng_state"]),
+            **{name: _count(obj, name, default) for name, default in _COUNTERS.items()},
         )
         return state, potential
 

@@ -365,7 +365,7 @@ class GaussianProfile:
         return plant, weight_var
 
     def to_json(self) -> dict:
-        return {"kind": "gaussian", "sigma2": self.sigma2, "beta": self.beta}
+        return {"kind": "gaussian", **asdict(self)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "GaussianProfile":
@@ -501,9 +501,7 @@ class TailProfile:
         return plant, None
 
     def to_json(self) -> dict:
-        d = asdict(self)
-        d["kind"] = "tail"
-        return d
+        return {**asdict(self), "kind": "tail"}
 
     @classmethod
     def from_json(cls, obj: dict) -> "TailProfile":
@@ -544,10 +542,12 @@ def tail_calibration_report(
 
     For t >= t0 the ratio should match the tail rate (a or b); rows below
     the onset are flagged rather than judged.  A threshold that is not
-    finite and positive raises ValueError naming it.
+    finite and positive, or n_samples below 1, raises ValueError naming it.
     """
     from .stats import wilson_interval
 
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if t_grid.size == 0:
         raise ValueError("empty threshold grid")

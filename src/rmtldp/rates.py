@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -145,7 +145,7 @@ class RateSpec:
         return cls("truncated_moment", p, {"b": float(b), "alpha": float(alpha)}, 0.0)
 
     def to_json(self) -> dict:
-        return {"theorem": self.theorem, "p": self.p, "params": dict(self.params), "center": self.center}
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "RateSpec":

@@ -7,6 +7,8 @@ generators to paths (seed, *prefix, k).  Each thread has its own pool, kept
 across calls (building a generator costs more than re-keying one), so a
 generator from ``streams`` is valid until the next ``streams`` call on its
 thread, and threads never share one.
+``state_json`` and ``generator_from_json`` write and read a generator's
+state as JSON integers, checked field by field against ``_STATE_FIELDS``.
 """
 
 from __future__ import annotations
@@ -15,12 +17,16 @@ import threading
 
 import numpy as np
 
-__all__ = ["stream", "stream_keys", "streams"]
+__all__ = ["stream", "stream_keys", "streams", "state_json", "generator_from_json"]
 
 # SeedSequence's hash (a 4-word pool, uint32 constants, 16-bit shifts); Philox's zero counter
 _MASK, _POOL, _ZEROS = 0xFFFFFFFF, 4, (0, 0, 0, 0)
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# Philox's state in JSON: (field, list length or None for one integer, exclusive bound);
+# numpy nests the first two, counter and key, in a "state" dict
+_STATE_FIELDS = (("counter", 4, 2**64), ("key", 2, 2**64), ("buffer", 4, 2**64),
+                 ("buffer_pos", None, 5), ("has_uint32", None, 2), ("uinteger", None, 2**32))
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
@@ -91,3 +97,31 @@ def streams(seed: int, *prefix: int, start: int, stop: int) -> list:
         gen.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": _ZEROS, "key": key},
                                    "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     return pool[:len(keys)]
+
+
+def state_json(gen: np.random.Generator) -> dict:
+    """gen's Philox state as JSON: bit_generator, then _STATE_FIELDS as integers."""
+    st = gen.bit_generator.state
+    flat = {**st, **st["state"]}
+    return {"bit_generator": st["bit_generator"], **{f: np.asarray(flat[f]).tolist() for f, _, _ in _STATE_FIELDS}}
+
+
+def generator_from_json(obj: dict) -> np.random.Generator:
+    """Inverse of state_json.  Raises ValueError naming rng_state and the
+    field unless bit_generator is "Philox" and each field is a JSON integer
+    (no float, bool or string), or a list of them, of its length and bound."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"rng_state must be a JSON object, got {obj!r}")
+    if obj["bit_generator"] != "Philox":
+        raise ValueError(f"rng_state bit_generator must be 'Philox', got {obj['bit_generator']!r}")
+    for name, length, bound in _STATE_FIELDS:
+        value = obj[name]
+        words = value if length and isinstance(value, list) else [value]
+        if len(words) != (length or 1) or not all(type(w) is int and 0 <= w < bound for w in words):
+            kind = f"a list of {length} integers" if length else "an integer"
+            shown = f"2**{bound.bit_length() - 1}" if bound > 5 else bound
+            raise ValueError(f"rng_state {name} must be {kind} in [0, {shown}), got {value!r}")
+    gen = np.random.Generator(np.random.Philox(key=0))
+    gen.bit_generator.state = {"bit_generator": "Philox", "state": {f: obj[f] for f, _, _ in _STATE_FIELDS[:2]},
+                               **{f: obj[f] for f, _, _ in _STATE_FIELDS[2:]}}
+    return gen

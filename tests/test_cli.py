@@ -344,6 +344,13 @@ class TestDeviationsCommand:
         assert "stream_layout" not in json.loads(out.read_text())["meta"]
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
+    def test_gue_json_artifact_bytes(self, tmp_path):
+        # recorded before ScanResult.summary was built from the dataclass fields
+        code, out = run_cli(tmp_path, "deviations", dict(self.CFG, method="auto"), fmt="json")
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "587c7645d3f4be34e8e2298a5262256a653a4c39325d110b48c180195196c8da")
+
     def test_gaussian_below_p3_has_no_reference(self, tmp_path):
         cfg = dict(self.CFG, model={"kind": "gaussian", "sigma2": 1.0, "beta": 1}, n_grid=[4, 6], p=2, x=1.5,
                    trials=200, method="auto")
@@ -358,6 +365,11 @@ class TestDeviationsCommand:
         code, out = run_cli(tmp_path, "deviations", cfg)
         assert code == 4
         assert "naive" in out.read_text() or "none" in out.read_text()
+
+
+UNTUNED_A2 = {"what": "loggas", "potential": {"b": 0.25, "alpha": 2.0, "beta": 1.0}, "N": 8, "sweeps": 30}
+TUNED_A4_ABS = {"what": "loggas", "potential": {"b": 0.5, "alpha": 4.0, "beta": 2.0, "w_kind": "abs", "w_coef": 0.5},
+                "N": 12, "sweeps": 150, "tune": True}
 
 
 class TestSampleCommand:
@@ -468,18 +480,62 @@ class TestSampleCommand:
         ({"proposal_count": "40"}, "proposal_count must be a non-negative integer, got '40'"),
         ({"window_accept": True}, "window_accept must be a non-negative integer, got True"),
         ({"window_proposals": math.inf}, "window_proposals must be a non-negative integer, got inf"),
+        # rng_state entries replace single fields of the saved state
+        ({"rng_state": {"bit_generator": "PCG64"}}, "rng_state bit_generator must be 'Philox', got 'PCG64'"),
+        ({"rng_state": {"counter": [1, 2]}},
+         "rng_state counter must be a list of 4 integers in [0, 2**64), got [1, 2]"),
+        ({"rng_state": {"counter": [-1, 0, 0, 0]}},
+         "rng_state counter must be a list of 4 integers in [0, 2**64), got [-1, 0, 0, 0]"),
+        ({"rng_state": {"key": ["1", "2"]}},
+         "rng_state key must be a list of 2 integers in [0, 2**64), got ['1', '2']"),
+        ({"rng_state": {"buffer": [1.0, 2, 3, 4]}},
+         "rng_state buffer must be a list of 4 integers in [0, 2**64), got [1.0, 2, 3, 4]"),
+        ({"rng_state": {"buffer_pos": 99}}, "rng_state buffer_pos must be an integer in [0, 5), got 99"),
+        ({"rng_state": {"buffer_pos": 1.5}}, "rng_state buffer_pos must be an integer in [0, 5), got 1.5"),
+        ({"rng_state": {"has_uint32": 7}}, "rng_state has_uint32 must be an integer in [0, 2), got 7"),
+        ({"rng_state": {"has_uint32": True}}, "rng_state has_uint32 must be an integer in [0, 2), got True"),
+        ({"rng_state": {"uinteger": 2**40}}, f"rng_state uinteger must be an integer in [0, 2**32), got {2**40}"),
     ], ids=["lambdas_strings", "lambdas_nan", "lambdas_one_particle", "N_disagrees", "step_nan", "step_string",
             "step_bool", "step_zero", "sweep_count_fractional", "accept_count_negative", "proposal_count_string",
-            "window_accept_bool", "window_proposals_inf"])
+            "window_accept_bool", "window_proposals_inf", "bit_generator_pcg64", "counter_short", "counter_negative",
+            "key_strings", "buffer_float", "buffer_pos_99", "buffer_pos_fractional", "has_uint32_7",
+            "has_uint32_bool", "uinteger_wide"])
     def test_bad_checkpoint_field_exit_2(self, tmp_path, capsys, bad, message):
         cfg = {"what": "loggas", "potential": {"b": 0.25, "alpha": 2.0, "beta": 1.0}, "N": 8, "sweeps": 5}
         _, first = run_cli(tmp_path, "sample", cfg, fmt="json", name="first")
-        ck = dict(json.loads(first.read_text())["checkpoint"], **bad)
+        ck = json.loads(first.read_text())["checkpoint"]
+        ck = {**ck, **bad, "rng_state": {**ck["rng_state"], **bad.get("rng_state", {})}}
         capsys.readouterr()
         code, _ = run_cli(tmp_path, "sample", {"what": "loggas", "sweeps": 5, "checkpoint": ck}, fmt="json",
                           name="bad")
         assert code == 2
         assert message in capsys.readouterr().err
+
+    # recorded before the checkpoint's rng_state and counters were written from one field list each
+    @pytest.mark.parametrize("config, seed, sha256", [
+        (UNTUNED_A2, 0, "49eabe85bd3eb1f837f35730dc4394db7aa9a53f0ff7a7da9f1c9a92de7d3092"),
+        (UNTUNED_A2, 1, "0d5728c8907b60a7c3a22c7733b0a0769310c0c10051e6a1283abffac648f3bf"),
+        (UNTUNED_A2, 2, "8a2312e63fbc27a3e65b6a116ebb48b3fad7a0a8ce1a94b045795311ee74eaca"),
+        (UNTUNED_A2, 3, "01dabaac3eef36872a495230d71b79e925ac815094645b3657d23367601223c9"),
+        (TUNED_A4_ABS, 0, "542fa5eb7d6aa9ff52cbc3f9911ac18ca4f640b4879cfa9c85d6197ff081b45f"),
+        (TUNED_A4_ABS, 1, "c2b8762d9af37c26052402cf8a152b1cdeb99e99871c40ce1dcf2545a173189d"),
+        (TUNED_A4_ABS, 2, "e83ab95ff3a4bb83c4f78d73b67fd5d8e0dab55aee2096cfd1accc29a1df35d1"),
+        (TUNED_A4_ABS, 3, "ac9ddac63148d8c67eccd7ae2555ee2d8cdbcd78d2addbb6075ef13e5ed4fd5f"),
+    ], ids=[f"{gas}-{seed}" for gas in ("a2_untuned", "a4_abs_tuned") for seed in range(4)])
+    def test_loggas_artifact_bytes(self, tmp_path, config, seed, sha256):
+        code, out = run_cli(tmp_path, "sample", config, seed=seed, fmt="json")
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+    def test_resumed_artifact_bytes(self, tmp_path):
+        # recorded with the same pin as test_loggas_artifact_bytes
+        cfg = dict(UNTUNED_A2, N=16, sweeps=150, tune=True)
+        _, first = run_cli(tmp_path, "sample", cfg, seed=3, fmt="json", name="first")
+        ck150 = json.loads(first.read_text())["checkpoint"]
+        code, resumed = run_cli(tmp_path, "sample", dict(cfg, checkpoint=ck150), seed=3, fmt="json", name="resumed")
+        assert code == 0
+        assert hashlib.sha256(resumed.read_bytes()).hexdigest() == (
+            "cb06c8af933551ef97d702ccb7140b97f96aee85f14f02aee0f25370be5c590b")
 
     @pytest.mark.parametrize("tune", ["no", 1, None])
     def test_non_boolean_tune_exit_2(self, tmp_path, capsys, tune):
@@ -534,8 +590,10 @@ class TestCalibrateCommand:
         ({"t_grid": ["4"]}, "t_grid entries must be numbers, got ['4']"),
         ({"t_grid": [True]}, "t_grid entries must be numbers, got [True]"),
         ({"t_grid": 4.0}, "t_grid must be a JSON list, got 4.0"),
+        ({"n_samples": -5}, "n_samples must be >= 1, got -5"),
+        ({"n_samples": 0}, "n_samples must be >= 1, got 0"),
     ], ids=["normalize_variance_string", "t_negative", "t_zero", "t_nan", "t_inf", "a_bool", "alpha_string", "t0_nan",
-            "t_string", "t_bool", "t_grid_scalar"])
+            "t_string", "t_bool", "t_grid_scalar", "n_samples_negative", "n_samples_zero"])
     def test_bad_input_exit_2(self, tmp_path, capsys, bad, message):
         cfg = dict({"alpha": 1.0, "a": 1.0, "t_grid": [4.0], "n_samples": 1000}, **bad)
         code, out = run_cli(tmp_path, "calibrate", cfg)

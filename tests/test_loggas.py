@@ -137,6 +137,13 @@ class TestPotential:
         pot = Potential(b=0.25, alpha=2.0, beta=1.0, w_kind="abs", w_coef=0.5)
         assert Potential.from_json(pot.to_json()) == pot
 
+    def test_to_json_fields(self):
+        # recorded before to_json was built from the dataclass fields
+        assert Potential(b=0.5, alpha=4.0, beta=2.0, w_kind="abs", w_coef=0.5).to_json() == {
+            "b": 0.5, "alpha": 4.0, "beta": 2.0, "w_kind": "abs", "w_coef": 0.5}
+        assert Potential(b=1, alpha=2, beta=1).to_json() == {"b": 1, "alpha": 2, "beta": 1, "w_kind": "zero",
+                                                              "w_coef": 0.0}
+
 
 class TestLogDensity:
     def test_two_particle_value(self):

@@ -300,6 +300,13 @@ class TestSerialization:
         prof = GaussianProfile(sigma2=2.0, beta=2)
         assert profile_from_json(prof.to_json()) == prof
 
+    def test_to_json_fields(self):
+        # recorded before to_json was built from the dataclass fields
+        assert GaussianProfile(sigma2=0.25, beta=2).to_json() == {"kind": "gaussian", "sigma2": 0.25, "beta": 2}
+        assert TailProfile(alpha=1.0, a=1.0, b=2.0, t0=3.0).to_json() == {
+            "alpha": 1.0, "a": 1.0, "b": 2.0, "t0": 3.0, "phase_diag": "rademacher", "phase_offdiag": "rademacher",
+            "normalize_variance": True, "kind": "tail"}
+
 
 def reference_modulus(law, rng, size, eta=0.0):
     """The per-generator modulus sampler that TwoPieceModulus.draw batches:

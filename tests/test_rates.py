@@ -59,6 +59,18 @@ class TestSpeeds:
         assert speed_exponent(RateSpec.for_truncated_moment(5, 1.0, 2.0)) == 1.4
 
 
+class TestRateSpecJson:
+    def test_to_json_fields(self):
+        # recorded before to_json was built from the dataclass fields
+        assert RateSpec.for_gaussian(4, 1.0, 2).to_json() == {
+            "theorem": "gaussian", "p": 4, "params": {"sigma2": 1.0, "beta": 2}, "center": 2.0}
+        spec = RateSpec.for_beta_ensemble(6, 0.5, 4.0, 1.25)
+        assert spec.to_json() == {"theorem": "beta_ensemble", "p": 6, "params": {"b": 0.5, "alpha": 4.0},
+                                  "center": 1.25}
+        assert spec.to_json()["params"] is not spec.params
+        assert RateSpec.from_json(spec.to_json()) == spec
+
+
 class TestRateValues:
     def test_gaussian_even(self):
         spec = RateSpec.for_gaussian(4, 1.0, 2)

@@ -1,8 +1,11 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
 from rmtldp import rng as rng_module
-from rmtldp.rng import stream, stream_keys, streams
+from rmtldp.rng import generator_from_json, state_json, stream, stream_keys, streams
 
 BOUND = 2**32  # trial indices must be below it, so that each is one 32-bit word
 
@@ -55,3 +58,44 @@ class TestStreams:
                                       ref.integers(0, 2**32, size=3, dtype=np.uint32))
                 assert np.array_equal(gen.standard_normal(5), ref.standard_normal(5))
         assert len(rng_module._THREAD_POOL.gens) == 256
+
+
+def _at_position(position):
+    """stream(5, 2) after `position` float64 draws, or one float32 draw."""
+    gen = stream(5, 2)
+    if position == "float32":
+        gen.random(dtype=np.float32)  # stashes the word's other half: has_uint32 = 1
+    else:
+        gen.random(position)
+    return gen
+
+
+NEXT_DRAWS = {
+    "random": lambda gen: gen.random(5),
+    "standard_normal": lambda gen: gen.standard_normal(5),
+    "float32": lambda gen: gen.random(5, dtype=np.float32),
+    "uint32": lambda gen: gen.integers(0, 2**32, size=5, dtype=np.uint32),
+}
+
+
+class TestStateJson:
+    # (position, buffer_pos, has_uint32): 1-4 draws reach every buffer_pos, as does a fresh stream's 4
+    @pytest.mark.parametrize("position, buffer_pos, has_uint32",
+                             [(0, 4, 0), (1, 1, 0), (2, 2, 0), (3, 3, 0), (4, 4, 0), ("float32", 1, 1)])
+    def test_restored_generator_draws_on(self, position, buffer_pos, has_uint32):
+        saved = json.loads(json.dumps(state_json(_at_position(position))))
+        assert (saved["buffer_pos"], saved["has_uint32"]) == (buffer_pos, has_uint32)
+        for name, draw in NEXT_DRAWS.items():
+            restored = generator_from_json(saved)
+            assert state_json(restored) == saved
+            assert np.array_equal(draw(restored), draw(_at_position(position))), name
+
+    @pytest.mark.parametrize("obj, message", [
+        ([1, 2], "rng_state must be a JSON object, got [1, 2]"),
+        (dict(state_json(stream(1)), counter=0), "rng_state counter must be a list of 4 integers in [0, 2**64), got 0"),
+        (dict(state_json(stream(1)), uinteger=[0]), "rng_state uinteger must be an integer in [0, 2**32), got [0]"),
+        (dict(state_json(stream(1)), key=[0, 2**64]), "rng_state key must be a list of 2 integers"),
+    ], ids=["not_object", "counter_scalar", "uinteger_list", "key_past_word"])
+    def test_rejects_bad_state(self, obj, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generator_from_json(obj)
